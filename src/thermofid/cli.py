@@ -48,6 +48,9 @@ MODEL_CLASSES = {
 
 _DEFAULT_FAILURE_BUDGET = 0.01
 
+# config key path of each library parameter whose name differs from it
+_CONFIG_KEYS = {"lambda_axis": "grid.lambda", "t_axis": "grid.t"}
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -134,9 +137,10 @@ def build_axis(spec, path):
         values = np.linspace(start, stop, num)
     else:
         raise ConfigError(path, "must be a list or a range object")
-    if values.size > 1 and not np.all(np.diff(values) > 0.0):
-        raise ConfigError(path, "must be strictly increasing")
-    return values
+    try:
+        return scan.as_axis(values, path)
+    except DomainError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def build_grid(cfg, path="grid"):
@@ -146,23 +150,9 @@ def build_grid(cfg, path="grid"):
     lam_axis = build_axis(_require(grid_cfg, "lambda", (list, dict), path), f"{path}.lambda")
     t_axis = build_axis(_require(grid_cfg, "t", (list, dict), path), f"{path}.t")
     delta_t = _require(cfg, "delta_t", float, "")
-    if delta_t <= 0.0:
-        raise ConfigError("delta_t", "must be positive")
-    delta_lambda = cfg.get("delta_lambda")
-    if delta_lambda is not None:
-        if isinstance(delta_lambda, bool) or not isinstance(delta_lambda, (int, float)):
-            raise ConfigError("delta_lambda", "must be a number")
-        delta_lambda = float(delta_lambda)
-        if delta_lambda <= 0.0:
-            raise ConfigError("delta_lambda", "must be positive")
-    if t_axis[0] <= 0.0:
-        raise ConfigError(f"{path}.t", f"temperatures must be positive, got {t_axis[0]}")
-    if t_axis[0] <= 0.5 * delta_t:
-        raise ConfigError(f"{path}.t", f"every T must exceed delta_t/2 = {0.5 * delta_t}")
-    try:
-        return scan.ScanGrid(lam_axis, t_axis, delta_t, delta_lambda)
-    except DomainError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    delta_lambda = (None if cfg.get("delta_lambda") is None
+                    else _require(cfg, "delta_lambda", float, ""))
+    return scan.ScanGrid(lam_axis, t_axis, delta_t, delta_lambda)
 
 
 def resolve_scan_config(cfg):
@@ -175,17 +165,14 @@ def resolve_scan_config(cfg):
         if key not in known:
             raise ConfigError(key, "unknown configuration key")
     model = build_model(cfg.get("model", {}))
-    grid = build_grid(cfg)
-
     fields = cfg.get("fields", ["F_beta", "Cv"])
-    if (not isinstance(fields, list) or not fields
-            or not all(isinstance(f, str) for f in fields)):
-        raise ConfigError("fields", "must be a non-empty list of field names")
-    for f in fields:
-        if f not in scan.FIELD_NAMES:
-            raise ConfigError("fields", f"unknown field {f!r}; choose from {scan.FIELD_NAMES}")
-    if grid.delta_lambda is None and any(f in ("chi", "chi_lambda") for f in fields):
-        raise ConfigError("delta_lambda", "required when chi or chi_lambda is requested")
+    if not isinstance(fields, list) or not all(isinstance(f, str) for f in fields):
+        raise ConfigError("fields", "must be a list of field names")
+    try:
+        grid = build_grid(cfg)
+        scan.check_fields(fields, grid)
+    except DomainError as exc:
+        raise ConfigError(_CONFIG_KEYS.get(exc.key, exc.key or "config"), str(exc)) from exc
 
     detect = cfg.get("detect")
     if detect is None:
@@ -314,15 +301,8 @@ def cmd_scan(config_path, threads=None):
     if threads is None:
         threads = resolved.get("threads") or os.cpu_count() or 1
 
-    # warn (never fail) when the perturbations are not small for this grid
-    corner = core.ThermoPoint(1.0 / grid.t_axis[0], float(grid.lambda_axis[-1]))
-    spec = core.PerturbationSpec(
-        grid.delta_t,
-        grid.delta_lambda
-        if grid.delta_lambda is not None
-        else core.DEFAULT_STEP_FRACTION * max(abs(corner.lam), 1.0),
-    )
-    spec.warn_if_large(corner)
+    core.warn_if_large_steps(float(grid.t_axis[0]), float(np.abs(grid.lambda_axis).min()),
+                             grid.delta_t, grid.delta_lambda)
 
     out_dir = os.environ.get(OUTPUT_DIR_ENV) or resolved["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -480,18 +460,19 @@ def _check_chi_lambda_vs_chi():
 
 
 def _check_field_fidelity_bound():
+    # at beta >= 1 the bound exceeds 1, which no fidelity error can reach
     builder = _chain_builder
     model = exact.DenseModel(builder, "spin_chain")
     samples = []
     ok = True
-    for beta in (0.25, 0.5, 1.0):
+    for beta in (0.125, 0.25, 0.5):
         for dlam in (0.1, 0.05):
             lam0, lam1 = 0.5, 0.5 + dlam
             exact_f = exact.fidelity_lambda_exact(builder(lam0), builder(lam1), beta)
             approx_f = core.fidelity_lambda_approx(model, beta, lam0, lam1)
             bound = exact.trotter_bound(builder(lam0), builder(lam1), beta)
             err = abs(exact_f - approx_f)
-            ok = ok and err <= bound + 1e-12
+            ok = ok and bound < 1.0 and err <= bound + 1e-12
             samples.append(f"beta={beta} dlam={dlam}: |err|={err:.3e} bound={bound:.3e}")
     return ok, "; ".join(samples)
 

@@ -19,13 +19,16 @@ from typing import Protocol, runtime_checkable
 
 from .errors import DomainError, EvaluationError, StepTooSmall
 
-# A second difference whose magnitude is below this multiple of the
-# epsilon-level cancellation noise in its terms is indistinguishable
-# from rounding error.
-NOISE_FACTOR = 10.0
+# A second difference g(lo) + g(hi) - 2 g(mid) whose magnitude is below
+# this multiple of epsilon * (|g(lo)| + |g(hi)| + |g(mid)|) is
+# indistinguishable from the cancellation noise in its terms.
+NOISE_FACTOR = 20.0
 
-# Relative size of the default temperature / field steps.
-DEFAULT_STEP_FRACTION = 1e-3
+
+def check_beta(beta):
+    """Raise DomainError unless beta is a positive, finite inverse temperature."""
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise DomainError(f"beta must be positive and finite, got {beta}", key="beta")
 
 
 @runtime_checkable
@@ -46,48 +49,27 @@ class ThermoPoint:
     lam: float
 
     def __post_init__(self):
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise DomainError(f"beta must be positive and finite, got {self.beta}")
+        check_beta(self.beta)
         if not math.isfinite(self.lam):
-            raise DomainError(f"lam must be finite, got {self.lam}")
+            raise DomainError(f"lam must be finite, got {self.lam}", key="lam")
 
     @property
     def temperature(self) -> float:
         return 1.0 / self.beta
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Temperature and field perturbations used to form fidelity pairs."""
+def warn_if_large_steps(t_min, lam_min, delta_t, delta_lambda):
+    """Warn (never fail) when a step exceeds a tenth of the grid scale it fits worst.
 
-    delta_t: float
-    delta_lambda: float
-
-    def __post_init__(self):
-        if not (self.delta_t > 0.0 and math.isfinite(self.delta_t)):
-            raise DomainError(f"delta_t must be positive, got {self.delta_t}")
-        if not (self.delta_lambda > 0.0 and math.isfinite(self.delta_lambda)):
-            raise DomainError(f"delta_lambda must be positive, got {self.delta_lambda}")
-
-    @classmethod
-    def defaults_for(cls, point: ThermoPoint) -> "PerturbationSpec":
-        return cls(
-            delta_t=DEFAULT_STEP_FRACTION * point.temperature,
-            delta_lambda=DEFAULT_STEP_FRACTION * max(abs(point.lam), 1.0),
-        )
-
-    def warn_if_large(self, point: ThermoPoint, fraction=0.1):
-        """Warn (never fail) when the perturbations are not small for this point."""
-        if self.delta_t * point.beta > fraction:
-            warnings.warn(
-                f"delta_t={self.delta_t} is not small against T={point.temperature}",
-                stacklevel=2,
-            )
-        if self.delta_lambda > fraction * max(abs(point.lam), 1.0):
-            warnings.warn(
-                f"delta_lambda={self.delta_lambda} is not small against lam={point.lam}",
-                stacklevel=2,
-            )
+    delta_t is compared with the lowest temperature t_min, delta_lambda (None
+    when no field step is used) with max(|lam|, 1) at the smallest field
+    magnitude lam_min on the grid.
+    """
+    if delta_t / t_min > 0.1:
+        warnings.warn(f"delta_t={delta_t} is not small against T={t_min}", stacklevel=2)
+    if delta_lambda is not None and delta_lambda > 0.1 * max(abs(lam_min), 1.0):
+        warnings.warn(f"delta_lambda={delta_lambda} is not small against lam={lam_min}",
+                      stacklevel=2)
 
 
 def delta_beta(temperature, delta_t):
@@ -96,6 +78,7 @@ def delta_beta(temperature, delta_t):
 
 
 def _log_z(model, beta, lam):
+    check_beta(beta)
     value = model.log_z(beta, lam)
     if not math.isfinite(value):
         raise EvaluationError(
@@ -104,21 +87,28 @@ def _log_z(model, beta, lam):
     return value
 
 
-def _guard_noise_floor(diff, parts, context):
-    """Reject a second difference that is pure cancellation noise.
+def _positive_step(name, value):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive, got {value}", key=name)
+    return value
 
-    A zero difference built from bitwise-identical terms is a legitimately
-    flat result and passes through; a (near-)zero difference of unequal terms
-    is below the resolvable floor and raises.
+
+def _second_difference(g, lo, mid, hi, context):
+    """g(lo) + g(hi) - 2 g(mid), the one stencil behind every response field.
+
+    A zero built from bitwise-identical terms is a legitimately flat result
+    and passes through; any other difference below the noise floor
+    NOISE_FACTOR * eps * (|g(lo)| + |g(hi)| + |g(mid)|) raises StepTooSmall.
     """
-    if diff == 0.0 and all(p == parts[0] for p in parts):
-        return
-    scale = sum(abs(p) for p in parts)
-    if abs(diff) < NOISE_FACTOR * sys.float_info.epsilon * scale:
+    a, b, c = g(lo), g(hi), g(mid)
+    diff = a + b - 2.0 * c
+    floor = NOISE_FACTOR * sys.float_info.epsilon * (abs(a) + abs(b) + abs(c))
+    if abs(diff) < floor and not (diff == 0.0 and a == b == c):
         raise StepTooSmall(
             f"{context}: second difference {diff:.3e} is below the "
             f"cancellation noise floor; increase the step"
         )
+    return diff
 
 
 def free_energy(model, point):
@@ -128,8 +118,6 @@ def free_energy(model, point):
 
 def log_fidelity_beta(model, beta0, beta1, lam):
     """lnZ((b0+b1)/2) - lnZ(b0)/2 - lnZ(b1)/2: the log of the temperature fidelity."""
-    if not (beta0 > 0.0 and beta1 > 0.0):
-        raise DomainError("inverse temperatures must be positive")
     mid = 0.5 * (beta0 + beta1)
     # the symmetric combination keeps F(b0, b1) == F(b1, b0) bitwise
     return _log_z(model, mid, lam) - 0.5 * (
@@ -151,16 +139,11 @@ def specific_heat(model, point, delta_t):
     Converges to -T d2F/dT2 with O(delta_t^2) error at analytic points.
     """
     t = point.temperature
-    if delta_t <= 0.0:
-        raise DomainError(f"delta_t must be positive, got {delta_t}")
-    if t - 0.5 * delta_t <= 0.0:
-        raise DomainError(f"delta_t={delta_t} too large for T={t}")
-    h = 0.5 * delta_t
-    f_plus = free_energy(model, ThermoPoint(1.0 / (t + h), point.lam))
-    f_minus = free_energy(model, ThermoPoint(1.0 / (t - h), point.lam))
-    f_mid = free_energy(model, point)
-    diff = f_plus + f_minus - 2.0 * f_mid
-    _guard_noise_floor(diff, (f_plus, f_minus, f_mid, f_mid), "specific_heat")
+    h = 0.5 * _positive_step("delta_t", delta_t)
+    if t - h <= 0.0:
+        raise DomainError(f"delta_t={delta_t} too large for T={t}", key="delta_t")
+    diff = _second_difference(lambda b: -_log_z(model, b, point.lam) / b,
+                              1.0 / (t - h), point.beta, 1.0 / (t + h), "specific_heat")
     return -t * diff / h**2
 
 
@@ -169,37 +152,24 @@ def fidelity_susceptibility_beta(model, point, delta_t):
 
     Approaches Cv / (4 beta^2) as delta_t -> 0.
     """
-    t = point.temperature
-    if delta_t <= 0.0:
-        raise DomainError(f"delta_t must be positive, got {delta_t}")
-    beta1 = 1.0 / (t + delta_t)
-    dbeta = point.beta - beta1
-    mid = 0.5 * (point.beta + beta1)
-    z_mid = _log_z(model, mid, point.lam)
-    z0 = _log_z(model, point.beta, point.lam)
-    z1 = _log_z(model, beta1, point.lam)
-    ln_f = z_mid - 0.5 * (z0 + z1)
-    _guard_noise_floor(ln_f, (z_mid, z0, z1), "fidelity_susceptibility_beta")
-    return -2.0 * ln_f / dbeta**2
+    beta1 = 1.0 / (point.temperature + _positive_step("delta_t", delta_t))
+    diff = _second_difference(lambda b: _log_z(model, b, point.lam),
+                              beta1, 0.5 * (point.beta + beta1), point.beta,
+                              "fidelity_susceptibility_beta")
+    return diff / (point.beta - beta1)**2
 
 
 def susceptibility_lambda(model, point, delta_lambda):
     """Susceptibility -d2F/dlam2 by central second difference with h = delta_lambda/2."""
-    if delta_lambda <= 0.0:
-        raise DomainError(f"delta_lambda must be positive, got {delta_lambda}")
-    h = 0.5 * delta_lambda
-    f_plus = free_energy(model, ThermoPoint(point.beta, point.lam + h))
-    f_minus = free_energy(model, ThermoPoint(point.beta, point.lam - h))
-    f_mid = free_energy(model, point)
-    diff = f_plus + f_minus - 2.0 * f_mid
-    _guard_noise_floor(diff, (f_plus, f_minus, f_mid, f_mid), "susceptibility_lambda")
+    h = 0.5 * _positive_step("delta_lambda", delta_lambda)
+    diff = _second_difference(lambda lam: -_log_z(model, point.beta, lam) / point.beta,
+                              point.lam - h, point.lam, point.lam + h,
+                              "susceptibility_lambda")
     return -diff / h**2
 
 
 def log_fidelity_lambda_approx(model, beta, lam0, lam1):
     """Log of the commuting-approximation field fidelity Z(mid)/sqrt(Z0 Z1)."""
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
     mid = 0.5 * (lam0 + lam1)
     return _log_z(model, beta, mid) - 0.5 * (
         _log_z(model, beta, lam0) + _log_z(model, beta, lam1)
@@ -223,15 +193,10 @@ def fidelity_susceptibility_lambda(model, beta, lam, delta_lambda):
 
     Approaches beta * chi / 4 at high temperature.
     """
-    if delta_lambda <= 0.0:
-        raise DomainError(f"delta_lambda must be positive, got {delta_lambda}")
-    h = 0.5 * delta_lambda
-    z_mid = _log_z(model, beta, lam)
-    z0 = _log_z(model, beta, lam - h)
-    z1 = _log_z(model, beta, lam + h)
-    ln_f = z_mid - 0.5 * (z0 + z1)
-    _guard_noise_floor(ln_f, (z_mid, z0, z1), "fidelity_susceptibility_lambda")
-    return -2.0 * ln_f / delta_lambda**2
+    h = 0.5 * _positive_step("delta_lambda", delta_lambda)
+    diff = _second_difference(lambda x: _log_z(model, beta, x), lam - h, lam, lam + h,
+                              "fidelity_susceptibility_lambda")
+    return diff / delta_lambda**2
 
 
 def log_z_convexity_defect(model, betas, lam):

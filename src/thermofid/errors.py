@@ -6,7 +6,14 @@ class ThermofidError(Exception):
 
 
 class DomainError(ThermofidError, ValueError):
-    """Parameter outside the supported domain of a model or formula."""
+    """Parameter outside the supported domain of a model or formula.
+
+    key names the offending parameter when the raiser knows it.
+    """
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class EvaluationError(ThermofidError):

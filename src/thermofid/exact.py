@@ -12,6 +12,7 @@ from typing import Callable, ClassVar
 import numpy as np
 from scipy.special import logsumexp
 
+from .core import check_beta
 from .errors import DomainError, EigensolverError, NegativeEigenvalue
 
 MAX_DIM = 256
@@ -59,8 +60,7 @@ def gibbs_state(h, beta):
     rounding in the final division.
     """
     h = _check_hamiltonian(h)
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     w, v = _eigh(h, "gibbs_state")
     weights = np.exp(-beta * (w - w.min()))
     rho = (v * weights) @ v.conj().T
@@ -117,8 +117,7 @@ def trotter_bound(h0, h1, beta):
     """
     h0 = _check_hamiltonian(h0, "h0")
     h1 = _check_hamiltonian(h1, "h1")
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     c = _commutator(h0, h1)
     d2 = (spectral_norm(_commutator(c, h1)) + 0.5 * spectral_norm(_commutator(c, h0))) / 12.0
     return beta**3 * d2 * math.exp(beta * (spectral_norm(h0) + spectral_norm(h1)))
@@ -191,8 +190,7 @@ class DenseModel:
         return None
 
     def log_z(self, beta, lam):
-        if beta <= 0.0:
-            raise DomainError(f"beta must be positive, got {beta}")
+        check_beta(beta)
         h = _check_hamiltonian(self.builder(lam), self.label)
         try:
             w = np.linalg.eigvalsh(h)

@@ -23,6 +23,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import bisect
 from scipy.special import gammaln, logsumexp
 
+from .core import check_beta
 from .errors import DomainError, EigensolverError, SolverError
 
 MEANFIELD_XTOL = 1e-12
@@ -45,11 +46,6 @@ class LmgParams:
             raise DomainError(f"gamma must be in [0, 1], got {self.gamma}")
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
             raise DomainError(f"lam must be >= 0 and finite, got {self.lam}")
-
-
-def _check_beta(beta):
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"beta must be positive and finite, got {beta}")
 
 
 def _sector_bands(sector_spin, n_spins, gamma, lam):
@@ -115,7 +111,7 @@ def lmg_sector_energies(params):
 
 def lmg_log_z(beta, params):
     """Maximal-sector lnZ = logsumexp(-beta * E_k) over that block's exact spectrum."""
-    _check_beta(beta)
+    check_beta(beta)
     energies = _max_sector_spectrum(params.n_spins, params.gamma, params.lam)
     return float(logsumexp(-beta * energies))
 
@@ -155,7 +151,7 @@ def lmg_full_log_z(beta, params):
     transition; equals ln Tr exp(-beta H) exactly (verified against brute
     force for small N).
     """
-    _check_beta(beta)
+    check_beta(beta)
     energies, weights = _full_levels(params.n_spins, params.gamma, params.lam)
     return float(logsumexp(weights - beta * energies))
 
@@ -207,8 +203,7 @@ def lmg_meanfield_residual(m_x, m_y, beta, lam, gamma):
     t = tanh(beta u)/u with u = sqrt(lam^2 + m_x^2 + gamma^2 m_y^2); the
     u -> 0 limit of t is beta.
     """
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     u = math.sqrt(lam * lam + m_x * m_x + gamma * gamma * m_y * m_y)
     t = beta if u == 0.0 else math.tanh(beta * u) / u
     return (m_x - t * m_x, m_y - t * gamma * m_y)
@@ -230,8 +225,7 @@ def lmg_meanfield_solve(beta, lam, gamma):
     trivial solution is returned. The branch is picked by free-energy
     comparison.
     """
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise DomainError(f"lam must be >= 0 and finite, got {lam}")
     if not 0.0 <= gamma < 1.0:

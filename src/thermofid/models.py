@@ -13,6 +13,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .core import check_beta
 from .errors import CutoffError, DomainError
 from .quadrature import adaptive_simpson, composite_simpson
 
@@ -29,11 +30,6 @@ def log_2cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax))
 
 
-def _check_beta(beta):
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"beta must be positive and finite, got {beta}")
-
-
 # ---------------------------------------------------------------------------
 # square-lattice Ising model (zero field, thermodynamic limit)
 # ---------------------------------------------------------------------------
@@ -44,7 +40,7 @@ def ising2d_k(beta, coupling_j):
     Written as 2 tanh(y) sech(y) with y = 2 b J so it stays finite for any
     beta; K = 1 exactly when sinh(2 b J) = 1.
     """
-    _check_beta(beta)
+    check_beta(beta)
     if coupling_j <= 0.0:
         raise DomainError(f"coupling_j must be positive, got {coupling_j}")
     y = 2.0 * beta * coupling_j
@@ -76,7 +72,7 @@ class Ising2D:
         return self.n_sites
 
     def log_z(self, beta, lam):
-        _check_beta(beta)
+        check_beta(beta)
         if lam != 0.0:
             raise DomainError("ising2d supports lam = 0 only (no closed form in field)")
         k = ising2d_k(beta, self.coupling_j)
@@ -123,7 +119,7 @@ class Tim1D:
         return self.n_sites
 
     def log_z(self, beta, lam):
-        _check_beta(beta)
+        check_beta(beta)
         # even in the field (a pi rotation about z flips its sign), so the
         # central susceptibility stencil works at lam = 0
         lam = abs(lam)
@@ -179,7 +175,7 @@ class Dicke:
             return np.log(2.0 * r) - beta * r * r + self.n_atoms * log_2cosh(x)
 
     def log_z(self, beta, lam):
-        _check_beta(beta)
+        check_beta(beta)
         g = lambda r: self._log_integrand(r, beta, lam)
         r_peak, g_peak = _log_peak(g, r_start=1.0 / math.sqrt(2.0 * beta))
         r_max = _cutoff_radius(g, r_peak, g_peak, DICKE_CUTOFF_DROP)
@@ -265,7 +261,7 @@ class TwoLevel:
         return None
 
     def log_z(self, beta, lam):
-        _check_beta(beta)
+        check_beta(beta)
         return float(log_2cosh(beta * self.gap))
 
 
@@ -284,5 +280,5 @@ class TwoLevelField:
         return None
 
     def log_z(self, beta, lam):
-        _check_beta(beta)
+        check_beta(beta)
         return float(log_2cosh(beta * lam))

@@ -24,14 +24,15 @@ CROSSOVER = "Crossover"
 UNDETERMINED = "Undetermined"
 
 
-def _as_axis(values, key):
+def as_axis(values, key):
+    """values as a float array, or DomainError(key=key) unless finite and strictly increasing."""
     axis = np.asarray(values, dtype=float)
     if axis.ndim != 1 or axis.size == 0:
-        raise DomainError(f"{key} must be a non-empty 1-D sequence")
+        raise DomainError(f"{key} must be a non-empty 1-D sequence", key=key)
     if axis.size > 1 and not np.all(np.diff(axis) > 0.0):
-        raise DomainError(f"{key} must be strictly increasing")
+        raise DomainError(f"{key} must be strictly increasing", key=key)
     if not np.all(np.isfinite(axis)):
-        raise DomainError(f"{key} has non-finite entries")
+        raise DomainError(f"{key} has non-finite entries", key=key)
     return axis
 
 
@@ -49,17 +50,16 @@ class ScanGrid:
     delta_lambda: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_axis", _as_axis(self.lambda_axis, "lambda_axis"))
-        object.__setattr__(self, "t_axis", _as_axis(self.t_axis, "t_axis"))
-        if self.delta_t is not None:
-            if not self.delta_t > 0.0:
-                raise DomainError(f"delta_t must be positive, got {self.delta_t}")
-            if self.t_axis[0] <= 0.5 * self.delta_t:
-                raise DomainError("need every T > delta_t / 2")
-        elif self.t_axis[0] <= 0.0:
-            raise DomainError("temperatures must be positive")
-        if self.delta_lambda is not None and not self.delta_lambda > 0.0:
-            raise DomainError(f"delta_lambda must be positive, got {self.delta_lambda}")
+        object.__setattr__(self, "lambda_axis", as_axis(self.lambda_axis, "lambda_axis"))
+        object.__setattr__(self, "t_axis", as_axis(self.t_axis, "t_axis"))
+        for key in ("delta_t", "delta_lambda"):
+            step = getattr(self, key)
+            if step is not None and not step > 0.0:
+                raise DomainError(f"{key} must be positive, got {step}", key=key)
+        t_floor = 0.0 if self.delta_t is None else 0.5 * self.delta_t
+        if self.t_axis[0] <= t_floor:
+            raise DomainError(f"every T must exceed max(0, delta_t / 2) = {t_floor}, "
+                              f"got {self.t_axis[0]}", key="t_axis")
 
     @property
     def shape(self):
@@ -121,11 +121,13 @@ class _MemoModel:
         return value
 
 
-def _cell_value(model, field, lam, t, delta_t, delta_lambda):
-    beta = 1.0 / t
+def _cell_value(model, field, point, delta_t, delta_lambda):
+    # F_beta's partner 1/(T + delta_t) is the one chi_beta uses, so the memo
+    # shares it; both start from point.temperature, which can differ from the
+    # grid T in the last bit
     if field == "F_beta":
-        return core.fidelity_beta(model, beta, 1.0 / (t + delta_t), lam)
-    point = core.ThermoPoint(beta, lam)
+        beta1 = 1.0 / (point.temperature + delta_t)
+        return core.fidelity_beta(model, point.beta, beta1, point.lam)
     if field == "Cv":
         return core.specific_heat(model, point, delta_t)
     if field == "chi":
@@ -133,20 +135,35 @@ def _cell_value(model, field, lam, t, delta_t, delta_lambda):
     if field == "chi_beta":
         return core.fidelity_susceptibility_beta(model, point, delta_t)
     if field == "chi_lambda":
-        return core.fidelity_susceptibility_lambda(model, beta, lam, delta_lambda)
-    raise DomainError(f"unknown field {field!r}")
+        return core.fidelity_susceptibility_lambda(model, point.beta, point.lam, delta_lambda)
+    raise DomainError(f"unknown field {field!r}", key="fields")
 
 
 def _sweep_cell(task):
     model, fields, delta_t, delta_lambda, lam, t = task
     memo = _MemoModel(model)
+    point = core.ThermoPoint(1.0 / t, lam)
     row = []
     for field in fields:
         try:
-            row.append(_cell_value(memo, field, lam, t, delta_t, delta_lambda))
+            row.append(_cell_value(memo, field, point, delta_t, delta_lambda))
         except (EvaluationError, StepTooSmall):
             row.append(math.nan)
     return row
+
+
+def check_fields(fields, grid):
+    """Raise DomainError, keyed by the parameter at fault, unless grid can produce fields."""
+    if not fields:
+        raise DomainError("no fields requested", key="fields")
+    for field in fields:
+        if field not in FIELD_NAMES:
+            raise DomainError(f"unknown field {field!r}; choose from {FIELD_NAMES}",
+                              key="fields")
+    if grid.delta_t is None:
+        raise DomainError("grid has no delta_t; it cannot be swept", key="delta_t")
+    if grid.delta_lambda is None and any(f in _CHI_FIELDS for f in fields):
+        raise DomainError(f"{' and '.join(_CHI_FIELDS)} need delta_lambda", key="delta_lambda")
 
 
 def sweep(model, grid, fields, threads=1):
@@ -157,16 +174,7 @@ def sweep(model, grid, fields, threads=1):
     invalid request) propagate.
     """
     fields = tuple(fields)
-    if not fields:
-        raise DomainError("no fields requested")
-    for field in fields:
-        if field not in FIELD_NAMES:
-            raise DomainError(f"unknown field {field!r}; choose from {FIELD_NAMES}")
-    if grid.delta_t is None:
-        raise DomainError("grid has no delta_t; it cannot be swept")
-    if grid.delta_lambda is None and any(f in _CHI_FIELDS for f in fields):
-        raise DomainError("chi fields need grid.delta_lambda")
-
+    check_fields(fields, grid)
     tasks = [
         (model, fields, grid.delta_t, grid.delta_lambda, lam, t)
         for lam in grid.lambda_axis
@@ -330,7 +338,7 @@ def classify_transition(model_family, lam, sizes, t_axis, delta_t,
         raise InsufficientSizes(f"need at least 3 sizes, got {len(sizes)}")
     if any(sizes[i + 1] <= sizes[i] for i in range(len(sizes) - 1)):
         raise DomainError("sizes must be strictly increasing")
-    t_axis = _as_axis(t_axis, "t_axis")
+    t_axis = as_axis(t_axis, "t_axis")
     _require_uniform(t_axis, "t_axis")
 
     columns = [_cv_column(model_family(n), lam, t_axis, delta_t) for n in sizes]

@@ -108,19 +108,21 @@ def test_criterion_3_susceptibility_consistency():
 
 
 def test_criterion_4a_field_fidelity_bound():
+    # two fidelities differ by at most 1, so only a bound below 1 can fail;
+    # at beta = 1 the bound is 8.9-42, at beta <= 0.5 it stays below 0.5
     model = exact.DenseModel(chain3, "chain3")
     samples = []
     ok = True
-    for beta in (0.25, 0.5, 1.0):
+    for beta in (0.125, 0.25, 0.5):
         for dlam in (0.1, 0.05, 0.025):
             exact_f = exact.fidelity_lambda_exact(chain3(0.5), chain3(0.5 + dlam), beta)
             approx_f = core.fidelity_lambda_approx(model, beta, 0.5, 0.5 + dlam)
             bound = exact.trotter_bound(chain3(0.5), chain3(0.5 + dlam), beta)
             err = abs(exact_f - approx_f)
-            ok = ok and err <= bound + 1e-12
-            samples.append(f"b={beta},dl={dlam}: err={err:.2e}<=bound={bound:.2e}")
+            ok = ok and bound < 1.0 and err <= bound + 1e-12
+            samples.append(f"b={beta},dl={dlam}: err={err:.2e}<=bound={bound:.2e}<1")
     report("criterion 4a (commuting approximation within product-formula bound)",
-           ok, "; ".join(samples[-3:]))
+           ok, "; ".join(samples))
 
 
 def bkm_sld_metrics(h, v, beta):

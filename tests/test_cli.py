@@ -105,6 +105,17 @@ def test_scan_warns_on_large_perturbation(tmp_path, capsys):
         assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 0
 
 
+def test_scan_warns_on_delta_lambda_at_smallest_field(tmp_path, capsys):
+    # 0.3 is small against lam = 5 but not against lam = 0
+    cfg = minimal_config(tmp_path)
+    cfg["model"] = {"name": "two_level_field"}
+    cfg["grid"]["lambda"] = [0.0, 5.0]
+    cfg["delta_lambda"] = 0.3
+    cfg["fields"] = ["chi"]
+    with pytest.warns(UserWarning, match="delta_lambda"):
+        assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 0
+
+
 def test_scan_output_dir_env_override(tmp_path, monkeypatch, capsys):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(override))

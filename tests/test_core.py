@@ -6,12 +6,13 @@ Z = 2 cosh(beta*h): free energy -ln(2 cosh 1), Schottky heat capacity
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from thermofid import core
-from thermofid.core import PerturbationSpec, ThermoPoint
+from thermofid.core import ThermoPoint
 from thermofid.errors import DomainError, EvaluationError, StepTooSmall
 from thermofid.models import Tim1D, TwoLevel, TwoLevelField
 
@@ -38,18 +39,22 @@ def test_thermo_point_validation():
         ThermoPoint(0.0, 0.0)
     with pytest.raises(DomainError):
         ThermoPoint(1.0, math.inf)
+    for beta in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ThermoPoint(beta, 0.0)
     assert ThermoPoint(2.0, 0.5).temperature == 0.5
 
 
-def test_perturbation_spec_defaults_and_warnings():
-    p = ThermoPoint(2.0, 3.0)
-    spec = PerturbationSpec.defaults_for(p)
-    assert spec.delta_t == pytest.approx(5e-4)
-    assert spec.delta_lambda == pytest.approx(3e-3)
-    with pytest.warns(UserWarning):
-        PerturbationSpec(0.2, 1e-3).warn_if_large(ThermoPoint(1.0, 0.0))
-    with pytest.raises(DomainError):
-        PerturbationSpec(-1e-3, 1e-3)
+def test_warn_if_large_steps():
+    with pytest.warns(UserWarning, match="delta_t"):
+        core.warn_if_large_steps(1.0, 0.0, 0.2, None)
+    # delta_lambda is measured against max(|lam|, 1) at the smallest |lam|
+    with pytest.warns(UserWarning, match="delta_lambda"):
+        core.warn_if_large_steps(1.0, 0.0, 1e-3, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        core.warn_if_large_steps(1.0, 5.0, 1e-3, 0.3)
+        core.warn_if_large_steps(1.0, 0.0, 1e-3, None)
 
 
 def test_delta_beta_identity():

@@ -12,6 +12,7 @@ from thermofid.scan import (
     ScanField,
     ScanGrid,
     TYPE_A,
+    check_fields,
     classify_transition,
     locate_jumps,
     locate_minima,
@@ -34,6 +35,18 @@ class FailingModel:
         return float(np.logaddexp(beta, -beta))
 
 
+class CountingModel(TwoLevel):
+    """Free spin that counts its lnZ evaluations."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "calls", 0)
+
+    def log_z(self, beta, lam):
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().log_z(beta, lam)
+
+
 def synthetic_field(lam_axis, t_axis, values):
     grid = ScanGrid(np.asarray(lam_axis), np.asarray(t_axis), delta_t=1e-3)
     return ScanField("synthetic", grid, np.asarray(values, dtype=float))
@@ -50,6 +63,31 @@ def test_grid_validation():
         ScanGrid(np.array([0.0]), np.array([1.0]), delta_t=-0.1)
     grid = ScanGrid(np.array([0.0]), np.array([1.0, 2.0]), delta_t=0.1)
     assert grid.shape == (1, 2)
+
+
+@pytest.mark.parametrize("args, key", [
+    ((np.array([0.0, 0.0]), np.array([1.0]), 0.1), "lambda_axis"),
+    ((np.array([0.0]), np.array([0.05, 1.0]), 0.2), "t_axis"),
+    ((np.array([0.0]), np.array([-1.0, 1.0]), None), "t_axis"),
+    ((np.array([0.0]), np.array([1.0]), 0.0), "delta_t"),
+    ((np.array([0.0]), np.array([1.0]), 0.1, -0.1), "delta_lambda"),
+])
+def test_grid_errors_name_the_parameter(args, key):
+    with pytest.raises(DomainError) as info:
+        ScanGrid(*args)
+    assert info.value.key == key
+
+
+def test_check_fields_names_the_parameter():
+    grid = ScanGrid(np.array([0.0]), np.array([1.0]), delta_t=0.01)
+    for fields, key in ((["Cw"], "fields"), ([], "fields"), (["chi_lambda"], "delta_lambda")):
+        with pytest.raises(DomainError) as info:
+            check_fields(fields, grid)
+        assert info.value.key == key
+    with pytest.raises(DomainError) as info:
+        check_fields(["Cv"], ScanGrid(np.array([0.0]), np.array([1.0]), delta_t=None))
+    assert info.value.key == "delta_t"
+    check_fields(["F_beta", "Cv", "chi_beta"], grid)
 
 
 def test_field_shape_validation():
@@ -80,6 +118,17 @@ def test_sweep_validates_requests():
         sweep(TwoLevel(), grid, [])
     with pytest.raises(DomainError):
         sweep(TwoLevel(), grid, ["chi"])  # needs delta_lambda
+
+
+def test_sweep_shares_lnz_calls_within_a_cell():
+    # F_beta and chi_beta share 1/(T + delta_t) and its midpoint, Cv shares
+    # beta: 5 distinct lnZ points per cell, also where 1/(1/T) != T
+    t_axis = np.linspace(0.5, 2.0, 61)
+    assert any(1.0 / (1.0 / t) != t for t in t_axis)
+    model = CountingModel()
+    grid = ScanGrid(np.array([0.0]), t_axis, delta_t=0.01)
+    sweep(model, grid, ["F_beta", "Cv", "chi_beta"], threads=1)
+    assert model.calls == 5 * t_axis.size
 
 
 def test_sweep_records_failures_as_nan():
