@@ -170,7 +170,7 @@ def resolve_scan_config(cfg):
         raise ConfigError("fields", "must be a list of field names")
     try:
         grid = build_grid(cfg)
-        scan.check_fields(fields, grid)
+        scan.check_request(model, grid, fields)
     except DomainError as exc:
         raise ConfigError(_CONFIG_KEYS.get(exc.key, exc.key or "config"), str(exc)) from exc
 
@@ -447,16 +447,21 @@ def _check_chi_beta_vs_cv():
     return worst < 1e-2, f"max |4 b^2 chi_beta - Cv| / Cv = {worst:.3e} (tol 1e-2)"
 
 
-def _check_chi_lambda_vs_chi():
-    model = models.Tim1D()
+def _check_lambda_responses_vs_kubo_mori():
+    # chi and chi_lambda are the same second difference of lnZ, so neither
+    # can check the other; each is compared with the exact d2 lnZ/dlam2 of the
+    # dense chain, whose H is linear in lam with dH/dlam = H(1) - H(0)
+    model = exact.DenseModel(_chain_builder, "spin_chain")
+    v = _chain_builder(1.0) - _chain_builder(0.0)
     worst = 0.0
-    for t, lam in ((2.0, 1.0), (2.0, 0.5), (1.0, 1.2)):
-        beta = 1.0 / t
-        point = core.ThermoPoint(beta, lam)
-        chi = core.susceptibility_lambda(model, point, 1e-3)
+    for beta, lam in ((0.5, 0.5), (1.0, 1.2), (2.0, 0.3)):
+        metric = exact.kubo_mori_metric(_chain_builder(lam), v, beta)
+        chi = core.susceptibility_lambda(model, core.ThermoPoint(beta, lam), 1e-3)
         chi_lam = core.fidelity_susceptibility_lambda(model, beta, lam, 1e-3)
-        worst = max(worst, abs(4.0 * chi_lam / beta - chi) / chi)
-    return worst < 1e-2, f"max |4 chi_lambda / b - chi| / chi = {worst:.3e} (tol 1e-2)"
+        for value in (4.0 * chi_lam, beta * chi):
+            worst = max(worst, abs(value - metric) / metric)
+    return worst < 1e-6, (f"max |4 chi_lambda - I_KM|, |b chi - I_KM| over I_KM "
+                          f"= {worst:.3e} (tol 1e-6)")
 
 
 def _check_field_fidelity_bound():
@@ -495,7 +500,7 @@ VALIDATION_CHECKS = (
     ("fidelity_beta_matches_dense", _check_fidelity_beta_matches_dense),
     ("fidelity_cv_consistency", _check_fidelity_cv_consistency),
     ("chi_beta_vs_cv", _check_chi_beta_vs_cv),
-    ("chi_lambda_vs_chi", _check_chi_lambda_vs_chi),
+    ("chi_lambda_vs_kubo_mori", _check_lambda_responses_vs_kubo_mori),
     ("field_fidelity_bound", _check_field_fidelity_bound),
     ("ground_state_limit", _check_ground_state_limit),
 )

@@ -15,7 +15,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import ClassVar, Protocol, runtime_checkable
 
 from .errors import DomainError, EvaluationError, StepTooSmall
 
@@ -33,12 +33,38 @@ def check_beta(beta):
 
 @runtime_checkable
 class ThermoModel(Protocol):
-    """Contract every model satisfies: a log-partition function plus metadata."""
+    """Contract every model satisfies: a log-partition function plus metadata.
+
+    name is the model's label in messages and reports. size_field names the
+    dataclass field holding the system size, which the CLI varies to build a
+    size family for classification; it is None for a model without one.
+    size_hint is that size (None without one), the per-site normalisation of
+    the classifier. lambda_domain is the closed interval of lam where log_z
+    is defined; check_lambda enforces it.
+
+    The catalog models subclass this protocol and inherit size_hint and the
+    unbounded lambda_domain. The kernel and the sweep need only name,
+    size_hint and log_z, so any object with those works too.
+    """
 
     name: str
-    size_hint: int | None
+    size_field: ClassVar[str | None] = None
+    lambda_domain: ClassVar[tuple[float, float]] = (-math.inf, math.inf)
+
+    @property
+    def size_hint(self) -> int | None:
+        return None if self.size_field is None else getattr(self, self.size_field)
 
     def log_z(self, beta: float, lam: float) -> float: ...
+
+
+def check_lambda(model, lam, key="lam"):
+    """Raise DomainError(key=key) unless lam lies in the model's lambda_domain."""
+    lo, hi = getattr(model, "lambda_domain", ThermoModel.lambda_domain)
+    if not lo <= lam <= hi:
+        domain = f"lam = {lo:g}" if lo == hi else f"{lo:g} <= lam <= {hi:g}"
+        raise DomainError(f"{model.name} is defined for {domain} only, got lam = {lam:g}",
+                          key=key)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,12 @@ against which the log-partition-function kernel is checked.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import check_beta
+from .core import ThermoModel, check_beta
 from .errors import DomainError, EigensolverError, NegativeEigenvalue
 
 MAX_DIM = 256
@@ -123,6 +123,27 @@ def trotter_bound(h0, h1, beta):
     return beta**3 * d2 * math.exp(beta * (spectral_norm(h0) + spectral_norm(h1)))
 
 
+def kubo_mori_metric(h, v, beta):
+    """d2 lnZ/dlam2 of the Gibbs family of H + lam V at lam = 0: the Kubo-Mori metric.
+
+    In the eigenbasis of H it is beta^2 (sum_ij |V_ij|^2 K_ij - <V>^2) with
+    K_ij = (p_i - p_j) / (beta (E_j - E_i)), and K_ij = p_i where E_i = E_j.
+    """
+    h = _check_hamiltonian(h, "h")
+    v = _check_hamiltonian(v, "v")
+    check_beta(beta)
+    w, vecs = _eigh(h, "kubo_mori_metric")
+    p = np.exp(-beta * (w - w.min()))
+    p /= p.sum()
+    v_eig = vecs.conj().T @ v @ vecs
+    gap = w[None, :] - w[:, None]
+    degenerate = np.abs(gap) <= 1e-10 * max(1.0, np.abs(w).max())
+    k = np.where(degenerate, p[:, None],
+                 (p[:, None] - p[None, :]) / (beta * np.where(degenerate, 1.0, gap)))
+    mean_v = float(p @ np.diag(v_eig).real)
+    return beta**2 * (float(np.sum(np.abs(v_eig)**2 * k)) - mean_v**2)
+
+
 def ground_state(h):
     """Lowest-eigenvalue eigenvector (column)."""
     h = _check_hamiltonian(h)
@@ -168,7 +189,7 @@ def single_spin_field_hamiltonian(lam, transverse=0.3):
 
 
 @dataclass(frozen=True)
-class DenseModel:
+class DenseModel(ThermoModel):
     """ThermoModel over a dense Hamiltonian family lam -> H(lam).
 
     Gives the log-partition-function kernel and the dense pipeline a common
@@ -179,15 +200,9 @@ class DenseModel:
     builder: Callable[[float], np.ndarray]
     label: str = "dense"
 
-    size_field: ClassVar[None] = None
-
     @property
     def name(self):
         return self.label
-
-    @property
-    def size_hint(self):
-        return None
 
     def log_z(self, beta, lam):
         check_beta(beta)

@@ -23,7 +23,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import bisect
 from scipy.special import gammaln, logsumexp
 
-from .core import check_beta
+from .core import ThermoModel, check_beta
 from .errors import DomainError, EigensolverError, SolverError
 
 MEANFIELD_XTOL = 1e-12
@@ -157,7 +157,7 @@ def lmg_full_log_z(beta, params):
 
 
 @dataclass(frozen=True)
-class Lmg:
+class Lmg(ThermoModel):
     """Catalog entry: the collective-spin model as a ThermoModel over lam.
 
     log_z is the full degeneracy-weighted trace, so sweeps see extensive
@@ -167,15 +167,8 @@ class Lmg:
     n_spins: int = 100
     gamma: float = 0.2
 
+    name: ClassVar[str] = "lmg"
     size_field: ClassVar[str] = "n_spins"
-
-    @property
-    def name(self):
-        return "lmg"
-
-    @property
-    def size_hint(self):
-        return self.n_spins
 
     def log_z(self, beta, lam):
         # even in the field (a pi rotation about x flips its sign), so the

@@ -1,9 +1,10 @@
 """Closed-form log-partition functions for the model catalog.
 
-Every model exposes log_z(beta, lam) plus name / size_hint metadata, so the
-kernel, the scanner, and the CLI treat them interchangeably. Integral forms
-are evaluated with adaptive Simpson quadrature at absolute tolerance 1e-10
-on the per-site (or per-log) value.
+Every model subclasses core.ThermoModel: it exposes log_z(beta, lam) plus
+name / size_field / lambda_domain metadata, so the kernel, the scanner, and
+the CLI treat them interchangeably. Integral forms are evaluated with
+adaptive Simpson quadrature at absolute tolerance 1e-10 on the per-site (or
+per-log) value.
 """
 
 import math
@@ -13,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import check_beta
+from .core import ThermoModel, check_beta, check_lambda
 from .errors import CutoffError, DomainError
 from .quadrature import adaptive_simpson, composite_simpson
 
@@ -50,31 +51,24 @@ def ising2d_k(beta, coupling_j):
 
 
 @dataclass(frozen=True)
-class Ising2D:
+class Ising2D(ThermoModel):
     """Square-lattice Ising model at zero external field.
 
     lnZ is the exact thermodynamic-limit expression per site times n_sites:
     N ln(2 cosh 2bJ) + N/(2 pi) * integral of ln[(1 + sqrt(1 - K^2 sin^2 phi))/2].
-    Requesting lam != 0 raises DomainError; no closed form exists there.
+    It has no closed form in a field, so its lambda_domain is lam = 0 alone.
     """
 
     coupling_j: float = 1.0
     n_sites: int = 1
 
+    name: ClassVar[str] = "ising2d"
     size_field: ClassVar[str] = "n_sites"
-
-    @property
-    def name(self):
-        return "ising2d"
-
-    @property
-    def size_hint(self):
-        return self.n_sites
+    lambda_domain: ClassVar[tuple[float, float]] = (0.0, 0.0)
 
     def log_z(self, beta, lam):
         check_beta(beta)
-        if lam != 0.0:
-            raise DomainError("ising2d supports lam = 0 only (no closed form in field)")
+        check_lambda(self, lam)
         k = ising2d_k(beta, self.coupling_j)
 
         def integrand(phi):
@@ -98,7 +92,7 @@ def ising2d_critical_temperature(coupling_j=1.0):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Tim1D:
+class Tim1D(ThermoModel):
     """Transverse-field Ising chain; per-site lnZ from the mode integral.
 
     lnZ = N [ln 2 + (1/pi) * integral_0^pi dk ln cosh(bJ sqrt(1 + lam^2 - 2 lam cos k))].
@@ -108,15 +102,8 @@ class Tim1D:
     coupling_j: float = 1.0
     n_sites: int = 1
 
+    name: ClassVar[str] = "tim1d"
     size_field: ClassVar[str] = "n_sites"
-
-    @property
-    def name(self):
-        return "tim1d"
-
-    @property
-    def size_hint(self):
-        return self.n_sites
 
     def log_z(self, beta, lam):
         check_beta(beta)
@@ -138,7 +125,7 @@ class Tim1D:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Dicke:
+class Dicke(ThermoModel):
     """N two-level atoms coupled to one bosonic mode, rotating-wave form.
 
     lnZ = ln of 2 * integral_0^inf dr r exp(-b r^2) [2 cosh(x(r))]^N with
@@ -151,6 +138,7 @@ class Dicke:
     omega0: float = 1.0
     n_atoms: int = 100
 
+    name: ClassVar[str] = "dicke"
     size_field: ClassVar[str] = "n_atoms"
 
     def __post_init__(self):
@@ -158,14 +146,6 @@ class Dicke:
             raise DomainError("omega and omega0 must be positive")
         if self.n_atoms < 1:
             raise DomainError(f"n_atoms must be >= 1, got {self.n_atoms}")
-
-    @property
-    def name(self):
-        return "dicke"
-
-    @property
-    def size_hint(self):
-        return self.n_atoms
 
     def _log_integrand(self, r, beta, lam):
         r = np.asarray(r, dtype=float)
@@ -240,7 +220,7 @@ def dicke_critical_temperature(lam, omega=1.0, omega0=1.0):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TwoLevel:
+class TwoLevel(ThermoModel):
     """Free spin-1/2 with a fixed splitting; Z = 2 cosh(beta * gap). Ignores lam.
 
     Being scale invariant (Cv depends on gap/T only), its specific-heat peak
@@ -250,15 +230,7 @@ class TwoLevel:
 
     gap: float = 1.0
 
-    size_field: ClassVar[None] = None
-
-    @property
-    def name(self):
-        return "two_level"
-
-    @property
-    def size_hint(self):
-        return None
+    name: ClassVar[str] = "two_level"
 
     def log_z(self, beta, lam):
         check_beta(beta)
@@ -266,18 +238,10 @@ class TwoLevel:
 
 
 @dataclass(frozen=True)
-class TwoLevelField:
+class TwoLevelField(ThermoModel):
     """Free spin-1/2 whose splitting is the control parameter: Z = 2 cosh(beta * lam)."""
 
-    size_field: ClassVar[None] = None
-
-    @property
-    def name(self):
-        return "two_level_field"
-
-    @property
-    def size_hint(self):
-        return None
+    name: ClassVar[str] = "two_level_field"
 
     def log_z(self, beta, lam):
         check_beta(beta)

@@ -1,14 +1,19 @@
 """Grid sweeps over the control-parameter/temperature plane and line extraction.
 
-Cells are independent work items: a sweep evaluates every requested field at
-every (lam, T) cell, optionally on a process pool. Results are assembled by
-cell index, so serial and parallel runs produce bit-identical fields. Cells
-whose evaluation fails are recorded as NaN and skipped by the detectors.
+Lambda columns are the work items: one function evaluates every requested
+field at every T of one lam through a single lnZ memo, and a sweep maps it
+over the lam axis, optionally on a process pool with one column per task.
+The classifier's specific-heat columns come from the same function. Columns
+are assembled by lam index, so serial and parallel runs produce bit-identical
+fields. Cells whose evaluation fails are recorded as NaN and skipped by the
+detectors.
 """
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -95,32 +100,6 @@ class CriticalLine:
     classification: str = UNDETERMINED
 
 
-class _MemoModel:
-    """Per-cell lnZ memo so fidelities and susceptibilities share evaluations."""
-
-    __slots__ = ("_model", "_cache")
-
-    def __init__(self, model):
-        self._model = model
-        self._cache = {}
-
-    @property
-    def name(self):
-        return self._model.name
-
-    @property
-    def size_hint(self):
-        return self._model.size_hint
-
-    def log_z(self, beta, lam):
-        key = (beta, lam)
-        value = self._cache.get(key)
-        if value is None:
-            value = self._model.log_z(beta, lam)
-            self._cache[key] = value
-        return value
-
-
 def _cell_value(model, field, point, delta_t, delta_lambda):
     # F_beta's partner 1/(T + delta_t) is the one chi_beta uses, so the memo
     # shares it; both start from point.temperature, which can differ from the
@@ -139,17 +118,24 @@ def _cell_value(model, field, point, delta_t, delta_lambda):
     raise DomainError(f"unknown field {field!r}", key="fields")
 
 
-def _sweep_cell(task):
-    model, fields, delta_t, delta_lambda, lam, t = task
-    memo = _MemoModel(model)
-    point = core.ThermoPoint(1.0 / t, lam)
-    row = []
-    for field in fields:
-        try:
-            row.append(_cell_value(memo, field, point, delta_t, delta_lambda))
-        except (EvaluationError, StepTooSmall):
-            row.append(math.nan)
-    return row
+def _sweep_column(model, fields, lam, t_axis, delta_t, delta_lambda):
+    """Every requested field at every T of one lam column, shape (len(fields), T).
+
+    One lnZ memo serves the whole column, so stencil points shared between
+    fields and between neighbouring cells are evaluated once. A cell whose
+    evaluation fails is NaN; a DomainError propagates. The field functions
+    are looked up in core at call time.
+    """
+    memo = SimpleNamespace(name=model.name, log_z=functools.cache(model.log_z))
+    values = np.empty((len(fields), t_axis.size))
+    for i, t in enumerate(t_axis):
+        point = core.ThermoPoint(1.0 / t, lam)
+        for k, field in enumerate(fields):
+            try:
+                values[k, i] = _cell_value(memo, field, point, delta_t, delta_lambda)
+            except (EvaluationError, StepTooSmall):
+                values[k, i] = math.nan
+    return values
 
 
 def check_fields(fields, grid):
@@ -166,29 +152,40 @@ def check_fields(fields, grid):
         raise DomainError(f"{' and '.join(_CHI_FIELDS)} need delta_lambda", key="delta_lambda")
 
 
+def check_request(model, grid, fields):
+    """check_fields, then DomainError unless every lam a sweep evaluates is in model's domain.
+
+    A grid lam outside it is keyed lambda_axis; a lam -+ delta_lambda/2 point
+    of the chi stencils outside it is keyed delta_lambda.
+    """
+    check_fields(fields, grid)
+    for lam in grid.lambda_axis:
+        core.check_lambda(model, lam, key="lambda_axis")
+    if any(f in _CHI_FIELDS for f in fields):
+        h = 0.5 * grid.delta_lambda
+        for lam in (grid.lambda_axis[0] - h, grid.lambda_axis[-1] + h):
+            core.check_lambda(model, lam, key="delta_lambda")
+
+
 def sweep(model, grid, fields, threads=1):
-    """Evaluate the requested fields at every grid cell.
+    """Evaluate the requested fields at every grid cell, one lam column per work item.
 
     Returns one ScanField per requested name, in request order. Per-cell
     evaluation failures become NaN markers; domain errors (a structurally
     invalid request) propagate.
     """
     fields = tuple(fields)
-    check_fields(fields, grid)
-    tasks = [
-        (model, fields, grid.delta_t, grid.delta_lambda, lam, t)
-        for lam in grid.lambda_axis
-        for t in grid.t_axis
-    ]
+    check_request(model, grid, fields)
+    column = functools.partial(_sweep_column, model, fields, t_axis=grid.t_axis,
+                               delta_t=grid.delta_t, delta_lambda=grid.delta_lambda)
     if threads is not None and threads > 1:
-        chunk = max(1, grid.t_axis.size)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_cell, tasks, chunksize=chunk))
+            columns = list(pool.map(column, grid.lambda_axis))
     else:
-        rows = [_sweep_cell(task) for task in tasks]
+        columns = [column(lam) for lam in grid.lambda_axis]
 
-    cube = np.array(rows, dtype=float).reshape(grid.shape + (len(fields),))
-    return [ScanField(name, grid, cube[:, :, k].copy()) for k, name in enumerate(fields)]
+    cube = np.stack(columns)
+    return [ScanField(name, grid, cube[:, k].copy()) for k, name in enumerate(fields)]
 
 
 def _parabolic_vertex(x0, x1, x2, y0, y1, y2):
@@ -293,16 +290,8 @@ def locate_jumps(field, jump_threshold=20.0):
 
 
 def _cv_column(model, lam, t_axis, delta_t):
-    norm = model.size_hint or 1
-    out = np.empty(t_axis.size)
-    for i, t in enumerate(t_axis):
-        try:
-            out[i] = core.specific_heat(model, core.ThermoPoint(1.0 / t, lam), delta_t)
-        except (EvaluationError, StepTooSmall):
-            out[i] = math.nan
-        else:
-            out[i] /= norm
-    return out
+    """Per-site specific heat along one lam column (NaN where evaluation fails)."""
+    return _sweep_column(model, ("Cv",), lam, t_axis, delta_t, None)[0] / (model.size_hint or 1)
 
 
 def _max_step(col):

@@ -85,6 +85,16 @@ def test_scan_chi_requires_delta_lambda(tmp_path, capsys):
     assert "delta_lambda" in capsys.readouterr().err
 
 
+def test_scan_rejects_lambda_outside_model_domain(tmp_path, capsys):
+    cfg = minimal_config(tmp_path)
+    cfg["model"] = {"name": "ising2d"}
+    cfg["grid"]["lambda"] = [0.0, 0.1]
+    cfg["grid"]["t"] = {"start": 2.0, "stop": 2.5, "num": 3}
+    assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "2"]) == 2
+    assert "grid.lambda" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scan_failure_budget_exit_3(tmp_path, capsys):
     cfg = {
         "model": {"name": "tim1d"},
@@ -187,6 +197,20 @@ def test_validate_detects_injected_sign_error(monkeypatch, capsys):
     by_name = {c["name"]: c["passed"] for c in report["checks"]}
     assert by_name["chi_beta_vs_cv"] is False
     assert cli.main(["validate"]) == 4
+
+
+def test_validate_detects_shifted_lambda_stencil(monkeypatch):
+    # centring the chi_lambda stencil delta_lambda/4 off lam moves it by 2e-6
+    # to 3e-4 relative, which the exact Kubo-Mori reference resolves at 1e-6
+    original = core.fidelity_susceptibility_lambda
+
+    def shifted(model, beta, lam, delta_lambda):
+        return original(model, beta, lam + 0.25 * delta_lambda, delta_lambda)
+
+    monkeypatch.setattr(core, "fidelity_susceptibility_lambda", shifted)
+    by_name = {c["name"]: c["passed"] for c in cli.cmd_validate()["checks"]}
+    assert by_name["chi_lambda_vs_kubo_mori"] is False
+    assert sum(not passed for passed in by_name.values()) == 1
 
 
 def test_meanfield_table(capsys):

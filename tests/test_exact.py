@@ -13,6 +13,7 @@ from thermofid.exact import (
     fidelity_lambda_exact,
     gibbs_state,
     ground_state,
+    kubo_mori_metric,
     sigma_x,
     sigma_z,
     single_spin_field_hamiltonian,
@@ -194,3 +195,19 @@ def test_dense_model_log_z():
     assert model.size_hint is None
     with pytest.raises(DomainError):
         model.log_z(-1.0, 0.4)
+
+
+def test_kubo_mori_metric_closed_forms():
+    # commuting V = H: beta^2 Var(H)
+    h = spin_chain_hamiltonian(2, 1.0, 0.4)
+    w = np.linalg.eigvalsh(h)
+    p = np.exp(-0.7 * w) / np.exp(-0.7 * w).sum()
+    variance = p @ w**2 - (p @ w) ** 2
+    assert kubo_mori_metric(h, h, 0.7) == pytest.approx(0.49 * variance, rel=1e-12)
+    # one spin, H = -a sz - lam sx: lnZ = ln 2cosh(beta sqrt(a^2 + lam^2)),
+    # whose second lam derivative at lam = 0 is beta tanh(beta a) / a
+    a, beta = 0.5, 1.3
+    h = single_spin_field_hamiltonian(a, transverse=0.0)
+    v = single_spin_field_hamiltonian(0.0, transverse=1.0)
+    assert kubo_mori_metric(h, v, beta) == pytest.approx(beta * np.tanh(beta * a) / a,
+                                                         rel=1e-12)

@@ -1,5 +1,11 @@
 """Grid sweeps, line extraction, and transition classification."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -131,6 +137,59 @@ def test_sweep_shares_lnz_calls_within_a_cell():
     assert model.calls == 5 * t_axis.size
 
 
+def test_sweep_shares_lnz_calls_across_a_column():
+    # one memo serves a whole lam column: on a T step of delta_t / 2 the Cv
+    # stencil points of neighbouring cells coincide bitwise with each other
+    # and with their beta values
+    t_axis = np.linspace(1.5, 3.5, 401)
+    model = CountingModel()
+    grid = ScanGrid(np.array([0.0]), t_axis, delta_t=0.01)
+    sweep(model, grid, ["F_beta", "Cv", "chi_beta"], threads=1)
+    assert model.calls == 1100
+
+
+def test_sweep_rejects_lambda_outside_model_domain():
+    model = CountingModel()
+    object.__setattr__(model, "lambda_domain", (0.0, 0.0))
+    grid = ScanGrid(np.array([0.0, 0.1]), np.linspace(1.0, 2.0, 3), delta_t=0.01)
+    with pytest.raises(DomainError) as info:
+        sweep(model, grid, ["Cv"], threads=1)
+    assert info.value.key == "lambda_axis"
+    assert model.calls == 0
+    with pytest.raises(DomainError) as info:
+        sweep(Ising2D(), grid, ["Cv"], threads=2)
+    assert info.value.key == "lambda_axis"
+    # at lam = 0 the chi stencil still steps to lam -+ delta_lambda / 2
+    grid = ScanGrid(np.array([0.0]), np.linspace(2.0, 2.5, 3), delta_t=0.01, delta_lambda=0.01)
+    with pytest.raises(DomainError) as info:
+        sweep(Ising2D(), grid, ["Cv", "chi"], threads=2)
+    assert info.value.key == "delta_lambda"
+
+
+def test_benchmark_tracer_sees_column_sweep(tmp_path):
+    # bench/tracer.py wraps core's field functions and each model's log_z
+    # after import; a sweep must still go through the wrapped attributes
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from tracer import Tracer\n"
+        "from thermofid import models, scan\n"
+        "tracer = Tracer(sys.argv[1]).install()\n"
+        "grid = scan.ScanGrid([0.0], [1.0, 1.5], delta_t=0.01)\n"
+        "scan.sweep(models.TwoLevel(), grid, ['F_beta', 'Cv'], threads=1)\n"
+        "tracer.dump()\n"
+    )
+    path = os.pathsep.join([str(root / "src"), str(root / "bench"),
+                            os.environ.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", script, str(tmp_path)], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
+    (dump,) = tmp_path.glob("spans-*.json")
+    names = [span[0] for span in json.loads(dump.read_text())["spans"]]
+    assert names.count("core.specific_heat") == 2
+    assert names.count("core.fidelity_beta") == 2
+    assert "models.two_level.log_z" in names
+
+
 def test_sweep_records_failures_as_nan():
     grid = ScanGrid(np.array([0.0]), np.linspace(0.5, 1.5, 5), delta_t=0.01)
     field = sweep(FailingModel(t_fail=1.0), grid, ["F_beta"])[0]
@@ -139,12 +198,14 @@ def test_sweep_records_failures_as_nan():
 
 
 def test_sweep_parallel_bitwise_identical():
-    grid = ScanGrid(np.linspace(0.1, 0.9, 3), np.linspace(0.8, 1.6, 5),
-                    delta_t=0.01, delta_lambda=0.01)
-    serial = sweep(TwoLevelField(), grid, ["F_beta", "Cv", "chi"], threads=1)
-    parallel = sweep(TwoLevelField(), grid, ["F_beta", "Cv", "chi"], threads=2)
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.values, b.values)
+    # more columns than workers, one column, and more workers than columns
+    for lam_axis, threads in ((np.linspace(0.1, 0.9, 3), 2), (np.array([0.4]), 2),
+                              (np.array([0.2, 0.7]), 3)):
+        grid = ScanGrid(lam_axis, np.linspace(0.8, 1.6, 5), delta_t=0.01, delta_lambda=0.01)
+        serial = sweep(TwoLevelField(), grid, ["F_beta", "Cv", "chi"], threads=1)
+        parallel = sweep(TwoLevelField(), grid, ["F_beta", "Cv", "chi"], threads=threads)
+        for a, b in zip(serial, parallel):
+            assert np.array_equal(a.values, b.values)
 
 
 def test_fidelity_field_in_unit_interval():
