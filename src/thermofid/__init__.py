@@ -4,140 +4,16 @@ Computes temperature and field fidelities of thermal states, the classical
 response functions they mirror (specific heat, susceptibility), lam-T phase
 diagrams for a small catalog of solvable models, and a dense-matrix reference
 pipeline that keeps the fast log-partition-function path honest.
+
+The package namespace holds the documented API: the README quick start, the
+catalog models and the two error types callers catch. Everything else is
+imported from its submodule (core, scan, models, lmg, exact, errors).
 """
 
-from .core import (
-    ThermoModel,
-    ThermoPoint,
-    delta_beta,
-    fidelity_beta,
-    fidelity_lambda_approx,
-    fidelity_susceptibility_beta,
-    fidelity_susceptibility_lambda,
-    free_energy,
-    log_fidelity_beta,
-    log_fidelity_lambda_approx,
-    log_z_convexity_defect,
-    specific_heat,
-    susceptibility_lambda,
-)
-from .errors import (
-    ConfigError,
-    CutoffError,
-    DomainError,
-    EigensolverError,
-    EmptyLine,
-    EvaluationError,
-    InsufficientSizes,
-    NegativeEigenvalue,
-    QuadratureError,
-    SolverError,
-    StepTooSmall,
-    ThermofidError,
-)
-from .exact import (
-    DenseModel,
-    fidelity_lambda_exact,
-    gibbs_state,
-    ground_state,
-    single_spin_field_hamiltonian,
-    spectral_norm,
-    spin_chain_hamiltonian,
-    trotter_bound,
-    uhlmann_fidelity,
-)
-from .lmg import (
-    Lmg,
-    LmgParams,
-    MeanFieldSolution,
-    lmg_build_matrix,
-    lmg_log_z,
-    lmg_meanfield_critical_temperature,
-    lmg_meanfield_free_energy,
-    lmg_meanfield_residual,
-    lmg_meanfield_solve,
-    lmg_sector_energies,
-)
-from .models import (
-    Dicke,
-    Ising2D,
-    Tim1D,
-    TwoLevel,
-    TwoLevelField,
-    dicke_critical_temperature,
-    ising2d_critical_temperature,
-    ising2d_k,
-)
-from .scan import (
-    CriticalLine,
-    ScanField,
-    ScanGrid,
-    classify_transition,
-    locate_jumps,
-    locate_minima,
-    sweep,
-)
+from .core import ThermoPoint, fidelity_beta, specific_heat
+from .errors import DomainError, ThermofidError
+from .lmg import Lmg
+from .models import Dicke, Ising2D, Tim1D, TwoLevel, TwoLevelField
+from .scan import ScanGrid, locate_minima, sweep
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "CriticalLine",
-    "CutoffError",
-    "DenseModel",
-    "Dicke",
-    "DomainError",
-    "EigensolverError",
-    "EmptyLine",
-    "EvaluationError",
-    "InsufficientSizes",
-    "Ising2D",
-    "Lmg",
-    "LmgParams",
-    "MeanFieldSolution",
-    "NegativeEigenvalue",
-    "QuadratureError",
-    "ScanField",
-    "ScanGrid",
-    "SolverError",
-    "StepTooSmall",
-    "ThermoModel",
-    "ThermoPoint",
-    "ThermofidError",
-    "Tim1D",
-    "TwoLevel",
-    "TwoLevelField",
-    "classify_transition",
-    "delta_beta",
-    "dicke_critical_temperature",
-    "fidelity_beta",
-    "fidelity_lambda_approx",
-    "fidelity_lambda_exact",
-    "fidelity_susceptibility_beta",
-    "fidelity_susceptibility_lambda",
-    "free_energy",
-    "gibbs_state",
-    "ground_state",
-    "ising2d_critical_temperature",
-    "ising2d_k",
-    "lmg_build_matrix",
-    "lmg_log_z",
-    "lmg_meanfield_critical_temperature",
-    "lmg_meanfield_free_energy",
-    "lmg_meanfield_residual",
-    "lmg_meanfield_solve",
-    "lmg_sector_energies",
-    "locate_jumps",
-    "locate_minima",
-    "log_fidelity_beta",
-    "log_fidelity_lambda_approx",
-    "log_z_convexity_defect",
-    "single_spin_field_hamiltonian",
-    "specific_heat",
-    "spectral_norm",
-    "spin_chain_hamiltonian",
-    "susceptibility_lambda",
-    "sweep",
-    "trotter_bound",
-    "uhlmann_fidelity",
-]

@@ -22,13 +22,7 @@ import time
 import numpy as np
 
 from . import core, exact, lmg, models, scan
-from .errors import (
-    ConfigError,
-    DomainError,
-    EmptyLine,
-    EvaluationError,
-    ThermofidError,
-)
+from .errors import ConfigError, DomainError, EvaluationError, ThermofidError
 
 OUTPUT_DIR_ENV = "THERMOFID_OUTPUT_DIR"
 
@@ -46,10 +40,13 @@ MODEL_CLASSES = {
     "two_level_field": models.TwoLevelField,
 }
 
-_DEFAULT_FAILURE_BUDGET = 0.01
+_MEANFIELD_T_RANGE = (0.05, 1.05)
 
 # config key path of each library parameter whose name differs from it
-_CONFIG_KEYS = {"lambda_axis": "grid.lambda", "t_axis": "grid.t"}
+_CONFIG_KEYS = {"lambda_axis": "grid.lambda", "t_axis": "grid.t",
+                "jump_threshold": "detect.jump_threshold"}
+
+_REQUIRED = object()
 
 
 # ---------------------------------------------------------------------------
@@ -68,19 +65,28 @@ def load_config(path):
         raise ConfigError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
-def _require(cfg, key, kind, path):
+def _require(cfg, key, kind, path, default=_REQUIRED):
+    """cfg[key] checked to be a kind (an int counts as a float, a bool as neither).
+
+    An absent key yields default, and so does null when default is None;
+    without a default the key is required.
+    """
     full = f"{path}.{key}" if path else key
-    if key not in cfg:
-        raise ConfigError(full, "missing required key")
+    if key not in cfg or (cfg[key] is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigError(full, "missing required key")
+        return default
     value = cfg[key]
-    if kind is float and isinstance(value, bool):
-        raise ConfigError(full, "must be a number")
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise ConfigError(full, f"must be of type {names}")
-    return value
+    return float(value) if kind is float else value
+
+
+def _check_keys(cfg, known, path):
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown configuration key")
 
 
 def build_model(cfg, path="model"):
@@ -93,17 +99,17 @@ def build_model(cfg, path="model"):
                           f"unknown model {name!r}; choose from {sorted(MODEL_CLASSES)}")
     valid = {f.name: f.type for f in dataclasses.fields(cls)}
     params = {}
-    for key, value in cfg.items():
+    for key in cfg:
         if key == "name":
             continue
         if key not in valid:
             raise ConfigError(f"{path}.{key}", f"unknown parameter for model {name!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}.{key}", "must be a number")
-        wants_int = valid[key] is int or valid[key] == "int"
-        if wants_int and value != int(value):
-            raise ConfigError(f"{path}.{key}", f"must be an integer, got {value}")
-        params[key] = int(value) if wants_int else float(value)
+        value = _require(cfg, key, float, path)
+        if valid[key] in (int, "int"):
+            if not value.is_integer():
+                raise ConfigError(f"{path}.{key}", f"must be an integer, got {value}")
+            value = int(value)
+        params[key] = value
     try:
         return cls(**params)
     except (DomainError, TypeError) as exc:
@@ -150,8 +156,7 @@ def build_grid(cfg, path="grid"):
     lam_axis = build_axis(_require(grid_cfg, "lambda", (list, dict), path), f"{path}.lambda")
     t_axis = build_axis(_require(grid_cfg, "t", (list, dict), path), f"{path}.t")
     delta_t = _require(cfg, "delta_t", float, "")
-    delta_lambda = (None if cfg.get("delta_lambda") is None
-                    else _require(cfg, "delta_lambda", float, ""))
+    delta_lambda = _require(cfg, "delta_lambda", float, "", default=None)
     return scan.ScanGrid(lam_axis, t_axis, delta_t, delta_lambda)
 
 
@@ -159,71 +164,55 @@ def resolve_scan_config(cfg):
     """Fill defaults and validate; the result re-resolves to itself (round trip)."""
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
-    known = {"model", "grid", "delta_t", "delta_lambda", "fields", "detect",
-             "classify", "output_dir", "threads", "failure_budget"}
-    for key in cfg:
-        if key not in known:
-            raise ConfigError(key, "unknown configuration key")
+    _check_keys(cfg, ("model", "grid", "delta_t", "delta_lambda", "fields", "detect",
+                      "classify", "output_dir", "threads", "failure_budget"), "")
     model = build_model(cfg.get("model", {}))
-    fields = cfg.get("fields", ["F_beta", "Cv"])
-    if not isinstance(fields, list) or not all(isinstance(f, str) for f in fields):
+    fields = _require(cfg, "fields", list, "", default=["F_beta", "Cv"])
+    if not all(isinstance(f, str) for f in fields):
         raise ConfigError("fields", "must be a list of field names")
+
+    detect = _require(cfg, "detect", dict, "", default=None)
+    if detect is None:
+        detect = {mode: name for mode, name in (("minima", "F_beta"), ("jumps", "Cv"))
+                  if name in fields}
+    _check_keys(detect, ("minima", "jumps", "jump_threshold"), "detect")
+    detect = dict(detect, jump_threshold=_require(detect, "jump_threshold", float, "detect",
+                                                  default=20.0))
+    for mode in ("minima", "jumps"):
+        target = _require(detect, mode, str, "detect", default=None)
+        if target is not None and target not in fields:
+            raise ConfigError(f"detect.{mode}", f"field {target!r} is not being computed")
+
     try:
         grid = build_grid(cfg)
         scan.check_request(model, grid, fields)
+        scan.check_jump_threshold(detect["jump_threshold"])
     except DomainError as exc:
         raise ConfigError(_CONFIG_KEYS.get(exc.key, exc.key or "config"), str(exc)) from exc
 
-    detect = cfg.get("detect")
-    if detect is None:
-        detect = {}
-        if "F_beta" in fields:
-            detect["minima"] = "F_beta"
-        if "Cv" in fields:
-            detect["jumps"] = "Cv"
-    elif not isinstance(detect, dict):
-        raise ConfigError("detect", "must be an object")
-    else:
-        detect = dict(detect)
-    for mode in ("minima", "jumps"):
-        target = detect.get(mode)
-        if target is not None and target not in fields:
-            raise ConfigError(f"detect.{mode}", f"field {target!r} is not being computed")
-    threshold = detect.get("jump_threshold", 20.0)
-    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) or threshold <= 0:
-        raise ConfigError("detect.jump_threshold", "must be a positive number")
-    detect["jump_threshold"] = float(threshold)
-
-    classify = cfg.get("classify")
+    classify = _require(cfg, "classify", dict, "", default=None)
     if classify is not None:
-        if not isinstance(classify, dict):
-            raise ConfigError("classify", "must be an object")
-        classify = dict(classify)
-        sizes = classify.get("sizes")
-        if (not isinstance(sizes, list) or len(sizes) < 3
-                or not all(isinstance(n, int) and not isinstance(n, bool) and n > 0
-                           for n in sizes)):
+        _check_keys(classify, ("sizes", "lambdas"), "classify")
+        sizes = _require(classify, "sizes", list, "classify")
+        if len(sizes) < 3 or not all(isinstance(n, int) and not isinstance(n, bool) and n > 0
+                                     for n in sizes):
             raise ConfigError("classify.sizes", "must be a list of >= 3 positive integers")
-        lambdas = classify.get("lambdas")
-        if (not isinstance(lambdas, list) or not lambdas
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in lambdas)):
+        lambdas = _require(classify, "lambdas", list, "classify")
+        if not lambdas or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                  for v in lambdas):
             raise ConfigError("classify.lambdas", "must be a non-empty list of numbers")
-        classify["lambdas"] = [float(v) for v in lambdas]
+        classify = dict(classify, lambdas=[float(v) for v in lambdas])
         if type(model).size_field is None:
             raise ConfigError("classify", f"model {model.name!r} has no size parameter")
 
-    budget = cfg.get("failure_budget", _DEFAULT_FAILURE_BUDGET)
-    if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not 0 <= budget <= 1:
-        raise ConfigError("failure_budget", "must be a number in [0, 1]")
-
-    threads = cfg.get("threads")
-    if threads is not None and (isinstance(threads, bool)
-                                or not isinstance(threads, int) or threads < 1):
+    budget = _require(cfg, "failure_budget", float, "", default=0.01)
+    if not 0.0 <= budget <= 1.0:
+        raise ConfigError("failure_budget", "must be in [0, 1]")
+    threads = _require(cfg, "threads", int, "", default=None)
+    if threads is not None and threads < 1:
         raise ConfigError("threads", "must be a positive integer")
-
-    output_dir = cfg.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
+    output_dir = _require(cfg, "output_dir", str, "", default="out")
+    if not output_dir:
         raise ConfigError("output_dir", "must be a non-empty string")
 
     resolved = {
@@ -234,7 +223,7 @@ def resolve_scan_config(cfg):
         "fields": list(fields),
         "detect": detect,
         "output_dir": output_dir,
-        "failure_budget": float(budget),
+        "failure_budget": budget,
     }
     if grid.delta_lambda is not None:
         resolved["delta_lambda"] = grid.delta_lambda
@@ -319,33 +308,23 @@ def cmd_scan(config_path, threads=None):
     by_name = {f.name: f for f in fields}
     lines = []
     detect = resolved["detect"]
-    if detect.get("minima"):
-        try:
-            line = scan.locate_minima(by_name[detect["minima"]])
-        except EmptyLine:
-            line = scan.CriticalLine((), "minimum")
-        path = os.path.join(out_dir, "minima.csv")
-        write_line_csv(path, line)
-        outputs["minima"] = path
-        lines.append({"detection": "minimum", "field": detect["minima"],
-                      "points": [[lam, tc] for lam, tc in line.points]})
-    if detect.get("jumps"):
-        line = scan.locate_jumps(by_name[detect["jumps"]], detect["jump_threshold"])
-        path = os.path.join(out_dir, "jumps.csv")
-        write_line_csv(path, line)
-        outputs["jumps"] = path
-        lines.append({"detection": "jump", "field": detect["jumps"],
-                      "points": [[lam, tc] for lam, tc in line.points]})
+    for mode in ("minima", "jumps"):
+        if detect.get(mode):
+            line = _locate(mode, by_name[detect[mode]], detect["jump_threshold"])
+            path = os.path.join(out_dir, f"{mode}.csv")
+            write_line_csv(path, line)
+            outputs[mode] = path
+            lines.append({"detection": line.detection, "field": detect[mode],
+                          "points": [[lam, tc] for lam, tc in line.points]})
 
     classifications = []
     classify_cfg = resolved.get("classify")
     if classify_cfg:
-        family = _size_family(model)
+        size_field = type(model).size_field
         for lam in classify_cfg["lambdas"]:
             verdict = scan.classify_transition(
-                family, lam, classify_cfg["sizes"], grid.t_axis, grid.delta_t,
-                growth_factor=float(classify_cfg.get("growth_factor", 3.0)),
-            )
+                lambda n: dataclasses.replace(model, **{size_field: n}),
+                lam, classify_cfg["sizes"], grid.t_axis, grid.delta_t)
             classifications.append({"lambda": lam, "sizes": classify_cfg["sizes"],
                                     "classification": verdict})
 
@@ -376,13 +355,11 @@ def cmd_scan(config_path, threads=None):
     return report
 
 
-def _size_family(model):
-    size_field = type(model).size_field
-
-    def family(n):
-        return dataclasses.replace(model, **{size_field: n})
-
-    return family
+def _locate(mode, field, jump_threshold):
+    """The critical line of one detection mode, "minima" or "jumps"."""
+    if mode == "minima":
+        return scan.locate_minima(field)
+    return scan.locate_jumps(field, jump_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -400,22 +377,12 @@ def _check_fidelity_beta_matches_dense():
         h = 0.5 * (a + a.T)
         h /= exact.spectral_norm(h)
         beta0, beta1 = rng.uniform(0.2, 2.5, size=2)
-        model = exact.DenseModel(_ConstantBuilder(h), "random_dense")
+        model = exact.DenseModel(lambda lam: h, "random_dense")  # temperature-only checks
         approx = core.fidelity_beta(model, beta0, beta1, 0.0)
         reference = exact.uhlmann_fidelity(exact.gibbs_state(h, beta0),
                                            exact.gibbs_state(h, beta1))
         worst = max(worst, abs(approx - reference))
     return worst < 1e-10, f"max |dense - log-space| = {worst:.3e} (tol 1e-10)"
-
-
-class _ConstantBuilder:
-    """Hamiltonian family that ignores lam (commuting, temperature-only checks)."""
-
-    def __init__(self, h):
-        self.h = h
-
-    def __call__(self, lam):
-        return self.h
 
 
 def _check_fidelity_cv_consistency():
@@ -521,12 +488,12 @@ def cmd_validate():
 # meanfield subcommand
 # ---------------------------------------------------------------------------
 
-def cmd_meanfield(lambdas, t_points=21, t_min=0.05, t_max=1.05):
+def cmd_meanfield(lambdas, t_points=21):
     """Rows (lam, T_c, T, m_x) for each requested lam over a temperature ladder."""
     rows = []
     for lam in lambdas:
         tc = lmg.lmg_meanfield_critical_temperature(lam)
-        for t in np.linspace(t_min, t_max, t_points):
+        for t in np.linspace(*_MEANFIELD_T_RANGE, t_points):
             solution = lmg.lmg_meanfield_solve(1.0 / t, lam, gamma=0.0)
             rows.append((lam, tc, float(t), solution.m_x))
     return rows
@@ -550,21 +517,16 @@ def cmd_boundary(config_path):
     mode = _require(cfg, "mode", str, "")
     if mode not in ("minima", "jumps"):
         raise ConfigError("mode", f"must be 'minima' or 'jumps', got {mode!r}")
-    output = cfg.get("output", "boundary.csv")
-    if not isinstance(output, str) or not output:
+    output = _require(cfg, "output", str, "", default="boundary.csv")
+    if not output:
         raise ConfigError("output", "must be a non-empty string")
+    threshold = _require(cfg, "jump_threshold", float, "", default=20.0)
+    try:
+        scan.check_jump_threshold(threshold)
+    except DomainError as exc:
+        raise ConfigError("jump_threshold", str(exc)) from exc
 
-    field = read_field_csv(field_file)
-    if mode == "minima":
-        try:
-            line = scan.locate_minima(field)
-        except EmptyLine:
-            line = scan.CriticalLine((), "minimum")
-    else:
-        threshold = cfg.get("jump_threshold", 20.0)
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) or threshold <= 0:
-            raise ConfigError("jump_threshold", "must be a positive number")
-        line = scan.locate_jumps(field, float(threshold))
+    line = _locate(mode, read_field_csv(field_file), threshold)
 
     out_dir = os.environ.get(OUTPUT_DIR_ENV)
     if out_dir:

@@ -42,14 +42,20 @@ class ThermoModel(Protocol):
     the classifier. lambda_domain is the closed interval of lam where log_z
     is defined; check_lambda enforces it.
 
-    The catalog models subclass this protocol and inherit size_hint and the
-    unbounded lambda_domain. The kernel and the sweep need only name,
+    The catalog models subclass this protocol and inherit size_hint, the
+    unbounded lambda_domain and the check that a size is >= 1, which runs
+    when a dataclass model is built. The kernel and the sweep need only name,
     size_hint and log_z, so any object with those works too.
     """
 
     name: str
     size_field: ClassVar[str | None] = None
     lambda_domain: ClassVar[tuple[float, float]] = (-math.inf, math.inf)
+
+    def __post_init__(self):
+        size = self.size_hint
+        if size is not None and not size >= 1:
+            raise DomainError(f"{self.size_field} must be >= 1, got {size}", key=self.size_field)
 
     @property
     def size_hint(self) -> int | None:

@@ -48,10 +48,6 @@ class InsufficientSizes(ThermofidError, ValueError):
     """Transition classification needs at least three system sizes."""
 
 
-class EmptyLine(ThermofidError):
-    """No critical-line points could be extracted from the field."""
-
-
 class ConfigError(ThermofidError, ValueError):
     """Invalid run configuration; carries the offending key path."""
 

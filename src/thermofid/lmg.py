@@ -170,6 +170,10 @@ class Lmg(ThermoModel):
     name: ClassVar[str] = "lmg"
     size_field: ClassVar[str] = "n_spins"
 
+    def __post_init__(self):
+        super().__post_init__()
+        LmgParams(self.n_spins, self.gamma, 0.0)  # its rules: n_spins >= 2, 0 <= gamma <= 1
+
     def log_z(self, beta, lam):
         # even in the field (a pi rotation about x flips its sign), so the
         # central susceptibility stencil works at lam = 0

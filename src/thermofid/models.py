@@ -66,6 +66,12 @@ class Ising2D(ThermoModel):
     size_field: ClassVar[str] = "n_sites"
     lambda_domain: ClassVar[tuple[float, float]] = (0.0, 0.0)
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.coupling_j > 0.0:
+            raise DomainError(f"coupling_j must be positive, got {self.coupling_j}",
+                              key="coupling_j")
+
     def log_z(self, beta, lam):
         check_beta(beta)
         check_lambda(self, lam)
@@ -142,10 +148,9 @@ class Dicke(ThermoModel):
     size_field: ClassVar[str] = "n_atoms"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.omega <= 0.0 or self.omega0 <= 0.0:
             raise DomainError("omega and omega0 must be positive")
-        if self.n_atoms < 1:
-            raise DomainError(f"n_atoms must be >= 1, got {self.n_atoms}")
 
     def _log_integrand(self, r, beta, lam):
         r = np.asarray(r, dtype=float)

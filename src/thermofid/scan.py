@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import core
-from .errors import DomainError, EmptyLine, EvaluationError, InsufficientSizes, StepTooSmall
+from .errors import DomainError, EvaluationError, InsufficientSizes, StepTooSmall
 
 FIELD_NAMES = ("F_beta", "Cv", "chi", "chi_beta", "chi_lambda")
 _CHI_FIELDS = ("chi", "chi_lambda")
@@ -27,6 +27,12 @@ TYPE_A = "TypeA"
 TYPE_B = "TypeB"
 CROSSOVER = "Crossover"
 UNDETERMINED = "Undetermined"
+
+# classify_transition's decision thresholds; its docstring gives the role of each
+GROWTH_FACTOR = 3.0
+STEP_GROWTH_FACTOR = 1.5
+DIVERGENCE_GROWTH = 1.05
+SMOOTHNESS_RATIO = 0.75
 
 
 def as_axis(values, key):
@@ -202,8 +208,8 @@ def _parabolic_vertex(x0, x1, x2, y0, y1, y2):
 def locate_minima(field):
     """Per-lam interior argmin over T with 3-point parabolic refinement.
 
-    Columns whose minimum sits on the grid boundary are excluded; raises
-    EmptyLine when nothing remains.
+    Columns whose minimum sits on the grid boundary are excluded; an empty
+    line is a valid result when no column has an interior minimum.
     """
     t = field.grid.t_axis
     points = []
@@ -222,8 +228,6 @@ def locate_minima(field):
         else:
             t_min = t[k]
         points.append((float(lam), float(t_min)))
-    if not points:
-        raise EmptyLine("no interior minimum in any column")
     return CriticalLine(tuple(points), "minimum")
 
 
@@ -233,6 +237,13 @@ def _require_uniform(axis, key):
     d = np.diff(axis)
     if d.max() - d.min() > 1e-9 * d.max():
         raise DomainError(f"{key} must be uniformly spaced")
+
+
+def check_jump_threshold(jump_threshold):
+    """Raise DomainError(key="jump_threshold") unless jump_threshold is positive."""
+    if not jump_threshold > 0.0:
+        raise DomainError(f"jump_threshold must be positive, got {jump_threshold}",
+                          key="jump_threshold")
 
 
 def locate_jumps(field, jump_threshold=20.0):
@@ -245,6 +256,7 @@ def locate_jumps(field, jump_threshold=20.0):
     rounded discontinuities spread over several cells. An empty line is a
     valid result for smooth fields.
     """
+    check_jump_threshold(jump_threshold)
     t = field.grid.t_axis
     _require_uniform(t, "t_axis")
     points = []
@@ -304,23 +316,22 @@ def _monotone_increasing(values, slack=0.0):
     return all(values[i + 1] > values[i] * (1.0 - slack) for i in range(len(values) - 1))
 
 
-def classify_transition(model_family, lam, sizes, t_axis, delta_t,
-                        growth_factor=3.0, step_growth_factor=1.5,
-                        divergence_growth=1.05, smoothness_ratio=0.75):
+def classify_transition(model_family, lam, sizes, t_axis, delta_t):
     """Classify the fixed-lam behavior as TypeA, TypeB, Crossover or Undetermined.
 
     Per-size per-site specific-heat columns drive the decision, in order:
-      - peaks growing monotonically by more than growth_factor -> TypeA;
+      - peaks growing monotonically by more than GROWTH_FACTOR -> TypeA;
       - the largest-size peak probed with stencil steps {2 dT, dT, dT/2}:
-        strictly increasing values sustaining divergence_growth overall are
+        strictly increasing values sustaining DIVERGENCE_GROWTH overall are
         the divergence proxy -> TypeA (covers thermodynamic-limit formulas
         with no size knob, whose per-site columns are size-independent);
       - the maximal one-grid-step change ("jump statistic") growing
-        monotonically with size by more than step_growth_factor -> TypeB
+        monotonically with size by more than STEP_GROWTH_FACTOR -> TypeB
         (a developing discontinuity steepens with size at bounded height);
-      - a jump statistic that shrinks under 2x grid refinement the way a
-        smooth resolved curve does -> Crossover; refinement-stable -> TypeB
-        (an already-resolved discontinuity).
+      - a jump statistic that shrinks under 2x grid refinement below
+        SMOOTHNESS_RATIO of its value, the way a smooth resolved curve does
+        -> Crossover; refinement-stable -> TypeB (an already-resolved
+        discontinuity).
     """
     sizes = list(sizes)
     if len(sizes) < 3:
@@ -336,7 +347,7 @@ def classify_transition(model_family, lam, sizes, t_axis, delta_t,
     peaks = [float(np.nanmax(col)) for col in columns]
     steps = [_max_step(col) for col in columns]
 
-    if _monotone_increasing(peaks, slack=1e-9) and peaks[-1] > growth_factor * peaks[0]:
+    if _monotone_increasing(peaks, slack=1e-9) and peaks[-1] > GROWTH_FACTOR * peaks[0]:
         return TYPE_A
 
     largest = model_family(sizes[-1])
@@ -345,18 +356,18 @@ def classify_transition(model_family, lam, sizes, t_axis, delta_t,
     point = core.ThermoPoint(1.0 / t_peak, lam)
     refined = [core.specific_heat(largest, point, delta_t * 2.0 ** (1 - k)) / norm
                for k in range(3)]
-    if refined[0] < refined[1] < refined[2] and refined[2] > divergence_growth * refined[0]:
+    if refined[0] < refined[1] < refined[2] and refined[2] > DIVERGENCE_GROWTH * refined[0]:
         return TYPE_A
 
-    if peaks[-1] > growth_factor * peaks[0]:
+    if peaks[-1] > GROWTH_FACTOR * peaks[0]:
         return UNDETERMINED
 
-    if _monotone_increasing(steps, slack=0.1) and steps[-1] > step_growth_factor * steps[0]:
+    if _monotone_increasing(steps, slack=0.1) and steps[-1] > STEP_GROWTH_FACTOR * steps[0]:
         return TYPE_B
 
     fine_axis = np.linspace(t_axis[0], t_axis[-1], 2 * t_axis.size - 1)
     fine_step = _max_step(_cv_column(largest, lam, fine_axis, delta_t))
-    if fine_step < smoothness_ratio * steps[-1]:
+    if fine_step < SMOOTHNESS_RATIO * steps[-1]:
         return CROSSOVER
     if fine_step >= 0.9 * steps[-1]:
         return TYPE_B

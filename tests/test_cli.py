@@ -313,3 +313,39 @@ def test_build_axis_specs():
         cli.build_axis({"start": 0.0, "stop": 1.0}, "grid.t")
     with pytest.raises(ConfigError):
         cli.build_axis([2.0, 1.0], "grid.lambda")
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"model": {"name": "tim1d", "n_sites": -5}}, "model"),
+    ({"model": {"name": "lmg", "gamma": 1.5}}, "model"),
+    ({"model": {"name": "lmg", "n_spins": 1}}, "model"),
+    ({"model": {"name": "ising2d", "coupling_j": -1}}, "model"),
+    ({"classify": {"sizes": [1, 2, 3], "lambdas": [0.0], "growth_factor": "big"}},
+     "classify.growth_factor"),
+    ({"detect": {"jumps": "Cv", "jump_treshold": 5.0}}, "detect.jump_treshold"),
+    ({"detect": {"jumps": "Cv", "jump_threshold": -1.0}}, "detect.jump_threshold"),
+    ({"detect": {"jumps": "Cv", "jump_threshold": 0}}, "detect.jump_threshold"),
+    ({"threads": True}, "threads"),
+    ({"failure_budget": "0.1"}, "failure_budget"),
+])
+def test_scan_rejects_bad_value_before_output(tmp_path, capsys, change, key):
+    cfg = dict(minimal_config(tmp_path), **change)
+    assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 2
+    assert f"{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_boundary_rejects_non_positive_threshold(tmp_path, capsys):
+    t_axis = np.linspace(1.0, 2.0, 11)
+    grid = scan.ScanGrid(np.array([0.0]), t_axis, delta_t=0.01)
+    cli.write_field_csv(str(tmp_path / "field.csv"),
+                        scan.ScanField("x", grid, t_axis[np.newaxis, :] ** 2))
+    boundary_cfg = {
+        "field_file": str(tmp_path / "field.csv"),
+        "mode": "jumps",
+        "jump_threshold": 0.0,
+        "output": str(tmp_path / "jumps.csv"),
+    }
+    assert cli.main(["boundary", write_config(tmp_path, boundary_cfg, "b.json")]) == 2
+    assert "jump_threshold:" in capsys.readouterr().err
+    assert not (tmp_path / "jumps.csv").exists()

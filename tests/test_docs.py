@@ -1,0 +1,38 @@
+"""The README's library quick start runs as written against the package namespace."""
+
+import ast
+import contextlib
+import inspect
+import io
+import pathlib
+import re
+
+import thermofid
+from thermofid import cli
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quick_start():
+    section = README.read_text().split("## Library quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_quick_start_runs_against_package_namespace():
+    source = quick_start()
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "thermofid"
+                for alias in node.names}
+    public = {name for name, value in vars(thermofid).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    catalog = {cls.__name__ for cls in cli.MODEL_CLASSES.values()}
+    # the namespace is the documented API and nothing else
+    assert imported <= public
+    assert public == imported | catalog | {"ThermofidError", "DomainError"}
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(source, str(README), "exec"), {})
+    printed = out.getvalue().splitlines()[-1]
+    head, tail = source.strip().splitlines()[-1].split("# ", 1)[1].split("...")
+    assert printed.startswith(head) and printed.endswith(tail), printed

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from thermofid import core
-from thermofid.errors import DomainError, EmptyLine, EvaluationError, InsufficientSizes
+from thermofid.errors import DomainError, EvaluationError, InsufficientSizes
 from thermofid.models import Dicke, Ising2D, Tim1D, TwoLevel, TwoLevelField
 from thermofid.scan import (
     CROSSOVER,
@@ -231,8 +231,8 @@ def test_locate_minima_excludes_monotone_columns():
     field = synthetic_field([0.0, 1.0], t_axis, [rising, dipped])
     line = locate_minima(field)
     assert [p[0] for p in line.points] == [1.0]
-    with pytest.raises(EmptyLine):
-        locate_minima(synthetic_field([0.0], t_axis, [rising]))
+    empty = locate_minima(synthetic_field([0.0], t_axis, [rising]))
+    assert empty == CriticalLine((), "minimum")
 
 
 def test_locate_minima_handles_nan_neighbors():
@@ -262,6 +262,15 @@ def test_locate_jumps_constant_column_empty():
     t_axis = np.linspace(1.0, 2.0, 11)
     line = locate_jumps(synthetic_field([0.0], t_axis, [np.ones(11)]), jump_threshold=20.0)
     assert line.points == ()
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+def test_locate_jumps_rejects_non_positive_threshold(threshold):
+    # a threshold <= 0 flags every nonzero step of a smooth column as a jump
+    t_axis = np.linspace(1.0, 2.0, 21)
+    with pytest.raises(DomainError) as info:
+        locate_jumps(synthetic_field([0.0], t_axis, [t_axis**2]), jump_threshold=threshold)
+    assert info.value.key == "jump_threshold"
 
 
 def test_locate_jumps_requires_uniform_axis():
