@@ -44,7 +44,8 @@ _MEANFIELD_T_RANGE = (0.05, 1.05)
 
 # config key path of each library parameter whose name differs from it
 _CONFIG_KEYS = {"lambda_axis": "grid.lambda", "t_axis": "grid.t",
-                "jump_threshold": "detect.jump_threshold"}
+                "jump_threshold": "detect.jump_threshold",
+                "lambdas": "classify.lambdas", "sizes": "classify.sizes"}
 
 _REQUIRED = object()
 
@@ -160,6 +161,11 @@ def build_grid(cfg, path="grid"):
     return scan.ScanGrid(lam_axis, t_axis, delta_t, delta_lambda)
 
 
+def _size_family(model):
+    """n -> model with its size field set to n."""
+    return lambda n: dataclasses.replace(model, **{type(model).size_field: n})
+
+
 def resolve_scan_config(cfg):
     """Fill defaults and validate; the result re-resolves to itself (round trip)."""
     if not isinstance(cfg, dict):
@@ -183,13 +189,6 @@ def resolve_scan_config(cfg):
         if target is not None and target not in fields:
             raise ConfigError(f"detect.{mode}", f"field {target!r} is not being computed")
 
-    try:
-        grid = build_grid(cfg)
-        scan.check_request(model, grid, fields)
-        scan.check_jump_threshold(detect["jump_threshold"])
-    except DomainError as exc:
-        raise ConfigError(_CONFIG_KEYS.get(exc.key, exc.key or "config"), str(exc)) from exc
-
     classify = _require(cfg, "classify", dict, "", default=None)
     if classify is not None:
         _check_keys(classify, ("sizes", "lambdas"), "classify")
@@ -204,6 +203,15 @@ def resolve_scan_config(cfg):
         classify = dict(classify, lambdas=[float(v) for v in lambdas])
         if type(model).size_field is None:
             raise ConfigError("classify", f"model {model.name!r} has no size parameter")
+
+    try:
+        grid = build_grid(cfg)
+        scan.check_request(model, grid, fields)
+        scan.check_jump_threshold(detect["jump_threshold"])
+        if classify is not None:
+            scan.check_classify(_size_family(model), classify["lambdas"], classify["sizes"])
+    except DomainError as exc:
+        raise ConfigError(_CONFIG_KEYS.get(exc.key, exc.key or "config"), str(exc)) from exc
 
     budget = _require(cfg, "failure_budget", float, "", default=0.01)
     if not 0.0 <= budget <= 1.0:
@@ -320,11 +328,9 @@ def cmd_scan(config_path, threads=None):
     classifications = []
     classify_cfg = resolved.get("classify")
     if classify_cfg:
-        size_field = type(model).size_field
         for lam in classify_cfg["lambdas"]:
-            verdict = scan.classify_transition(
-                lambda n: dataclasses.replace(model, **{size_field: n}),
-                lam, classify_cfg["sizes"], grid.t_axis, grid.delta_t)
+            verdict = scan.classify_transition(_size_family(model), lam, classify_cfg["sizes"],
+                                               grid.t_axis, grid.delta_t)
             classifications.append({"lambda": lam, "sizes": classify_cfg["sizes"],
                                     "classification": verdict})
 

@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass
 from typing import ClassVar, Protocol, runtime_checkable
 
+import numpy as np
+
 from .errors import DomainError, EvaluationError, StepTooSmall
 
 # A second difference g(lo) + g(hi) - 2 g(mid) whose magnitude is below
@@ -26,9 +28,34 @@ NOISE_FACTOR = 20.0
 
 
 def check_beta(beta):
-    """Raise DomainError unless beta is a positive, finite inverse temperature."""
-    if not (beta > 0.0 and math.isfinite(beta)):
+    """Raise DomainError unless beta, a float or an array, is positive and finite throughout."""
+    if not np.all((np.asarray(beta) > 0.0) & np.isfinite(beta)):
         raise DomainError(f"beta must be positive and finite, got {beta}", key="beta")
+
+
+def nan_or_raise(values, failed, error, describe):
+    """values, NaN where failed for an array; a failed scalar raises error(describe())."""
+    if np.ndim(values) == 0:
+        if failed:
+            raise error(describe())
+        return float(values)
+    return np.where(failed, math.nan, values)
+
+
+def per_beta(evaluate, beta):
+    """The ThermoModel array contract for an lnZ evaluate(b) taken at one float b at a time.
+
+    An array entry is NaN where evaluate raised EvaluationError.
+    """
+    if np.ndim(beta) == 0:
+        return evaluate(float(beta))
+    values = np.empty(len(beta))
+    for i, b in enumerate(beta):
+        try:
+            values[i] = evaluate(float(b))
+        except EvaluationError:
+            values[i] = math.nan
+    return values
 
 
 @runtime_checkable
@@ -46,6 +73,12 @@ class ThermoModel(Protocol):
     unbounded lambda_domain and the check that a size is >= 1, which runs
     when a dataclass model is built. The kernel and the sweep need only name,
     size_hint and log_z, so any object with those works too.
+
+    log_z(beta, lam) takes a float or 1-D array beta, then a float lam. An
+    array call returns beta's shape, each entry bitwise equal to the float
+    call at that beta, and NaN where that beta fails; a float call raises its
+    EvaluationError instead. A failure of the whole lam, such as an
+    eigensolve, may raise for an array call too.
     """
 
     name: str
@@ -61,7 +94,7 @@ class ThermoModel(Protocol):
     def size_hint(self) -> int | None:
         return None if self.size_field is None else getattr(self, self.size_field)
 
-    def log_z(self, beta: float, lam: float) -> float: ...
+    def log_z(self, beta: float | np.ndarray, lam: float) -> float | np.ndarray: ...
 
 
 def check_lambda(model, lam, key="lam"):
@@ -75,9 +108,9 @@ def check_lambda(model, lam, key="lam"):
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """A point (beta, lam) in the inverse-temperature / control-parameter plane."""
+    """A point (beta, lam), or a whole lam column when beta is a 1-D array."""
 
-    beta: float
+    beta: float | np.ndarray
     lam: float
 
     def __post_init__(self):
@@ -112,11 +145,8 @@ def delta_beta(temperature, delta_t):
 def _log_z(model, beta, lam):
     check_beta(beta)
     value = model.log_z(beta, lam)
-    if not math.isfinite(value):
-        raise EvaluationError(
-            f"{model.name}: non-finite lnZ at beta={beta}, lam={lam}"
-        )
-    return value
+    return nan_or_raise(value, ~np.isfinite(value), EvaluationError,
+                        lambda: f"{model.name}: non-finite lnZ at beta={beta}, lam={lam}")
 
 
 def _positive_step(name, value):
@@ -130,17 +160,16 @@ def _second_difference(g, lo, mid, hi, context):
 
     A zero built from bitwise-identical terms is a legitimately flat result
     and passes through; any other difference below the noise floor
-    NOISE_FACTOR * eps * (|g(lo)| + |g(hi)| + |g(mid)|) raises StepTooSmall.
+    NOISE_FACTOR * eps * (|g(lo)| + |g(hi)| + |g(mid)|) is StepTooSmall,
+    under nan_or_raise.
     """
     a, b, c = g(lo), g(hi), g(mid)
     diff = a + b - 2.0 * c
-    floor = NOISE_FACTOR * sys.float_info.epsilon * (abs(a) + abs(b) + abs(c))
-    if abs(diff) < floor and not (diff == 0.0 and a == b == c):
-        raise StepTooSmall(
-            f"{context}: second difference {diff:.3e} is below the "
-            f"cancellation noise floor; increase the step"
-        )
-    return diff
+    floor = NOISE_FACTOR * sys.float_info.epsilon * (np.abs(a) + np.abs(b) + np.abs(c))
+    flat = np.equal(diff, 0.0) & np.equal(a, b) & np.equal(b, c)
+    return nan_or_raise(diff, (np.abs(diff) < floor) & ~flat, StepTooSmall,
+                        lambda: f"{context}: second difference {diff:.3e} is below the "
+                                f"cancellation noise floor; increase the step")
 
 
 def free_energy(model, point):
@@ -162,7 +191,7 @@ def fidelity_beta(model, beta0, beta1, lam):
 
     Exactly 1 when beta0 == beta1; at most 1 whenever lnZ is convex in beta.
     """
-    return math.exp(log_fidelity_beta(model, beta0, beta1, lam))
+    return np.exp(log_fidelity_beta(model, beta0, beta1, lam))
 
 
 def specific_heat(model, point, delta_t):
@@ -172,8 +201,8 @@ def specific_heat(model, point, delta_t):
     """
     t = point.temperature
     h = 0.5 * _positive_step("delta_t", delta_t)
-    if t - h <= 0.0:
-        raise DomainError(f"delta_t={delta_t} too large for T={t}", key="delta_t")
+    if np.any(t - h <= 0.0):
+        raise DomainError(f"delta_t={delta_t} too large for T={np.min(t)}", key="delta_t")
     diff = _second_difference(lambda b: -_log_z(model, b, point.lam) / b,
                               1.0 / (t - h), point.beta, 1.0 / (t + h), "specific_heat")
     return -t * diff / h**2
@@ -217,7 +246,7 @@ def fidelity_lambda_approx(model, beta, lam0, lam1):
     gap is >= 0 and vanishes when [H, dH/dlam] = 0. The dense-matrix pipeline
     in thermofid.exact provides the exact value and the validity bound.
     """
-    return math.exp(log_fidelity_lambda_approx(model, beta, lam0, lam1))
+    return np.exp(log_fidelity_lambda_approx(model, beta, lam0, lam1))
 
 
 def fidelity_susceptibility_lambda(model, beta, lam, delta_lambda):
@@ -236,19 +265,17 @@ def log_z_convexity_defect(model, betas, lam):
 
     Returns min_i (lnZ[i+1] + lnZ[i-1] - 2 lnZ[i]) / max(|lnZ[i]|, 1); a value
     >= -1e-8 certifies discrete convexity of lnZ in beta (Var(H) >= 0), which
-    in turn guarantees fidelity_beta <= 1.
+    in turn guarantees fidelity_beta <= 1. It is NaN, certifying nothing, when
+    an lnZ evaluation fails.
     """
-    betas = [float(b) for b in betas]
-    if len(betas) < 3:
+    betas = np.asarray(betas, dtype=float)
+    if betas.size < 3:
         raise DomainError("need at least three beta values")
-    steps = [betas[i + 1] - betas[i] for i in range(len(betas) - 1)]
-    if any(s <= 0 for s in steps):
+    steps = np.diff(betas)
+    if np.any(steps <= 0):
         raise DomainError("beta grid must be strictly increasing")
-    if max(steps) - min(steps) > 1e-9 * max(steps):
+    if steps.max() - steps.min() > 1e-9 * steps.max():
         raise DomainError("beta grid must be uniform")
-    z = [_log_z(model, b, lam) for b in betas]
-    defect = math.inf
-    for i in range(1, len(z) - 1):
-        d2 = z[i + 1] + z[i - 1] - 2.0 * z[i]
-        defect = min(defect, d2 / max(abs(z[i]), 1.0))
-    return defect
+    z = _log_z(model, betas, lam)
+    d2 = z[2:] + z[:-2] - 2.0 * z[1:-1]
+    return float(np.min(d2 / np.maximum(np.abs(z[1:-1]), 1.0)))

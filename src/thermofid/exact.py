@@ -211,4 +211,4 @@ class DenseModel(ThermoModel):
             w = np.linalg.eigvalsh(h)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"{self.label}: eigensolver failed: {exc}") from exc
-        return float(logsumexp(-beta * w))
+        return logsumexp(-np.multiply.outer(beta, w), axis=-1)

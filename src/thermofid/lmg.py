@@ -23,7 +23,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import bisect
 from scipy.special import gammaln, logsumexp
 
-from .core import ThermoModel, check_beta
+from .core import ThermoModel, check_beta, per_beta
 from .errors import DomainError, EigensolverError, SolverError
 
 MEANFIELD_XTOL = 1e-12
@@ -113,7 +113,7 @@ def lmg_log_z(beta, params):
     """Maximal-sector lnZ = logsumexp(-beta * E_k) over that block's exact spectrum."""
     check_beta(beta)
     energies = _max_sector_spectrum(params.n_spins, params.gamma, params.lam)
-    return float(logsumexp(-beta * energies))
+    return per_beta(lambda b: float(logsumexp(-b * energies)), beta)
 
 
 def log_sector_degeneracy(n_spins, sector_spin):
@@ -149,11 +149,12 @@ def lmg_full_log_z(beta, params):
 
     This is the quantity whose per-spin derivatives carry the thermal
     transition; equals ln Tr exp(-beta H) exactly (verified against brute
-    force for small N).
+    force for small N). An array beta takes one logsumexp per entry: a
+    (beta x level) matrix would hold 160,801 levels per beta at N = 800.
     """
     check_beta(beta)
     energies, weights = _full_levels(params.n_spins, params.gamma, params.lam)
-    return float(logsumexp(weights - beta * energies))
+    return per_beta(lambda b: float(logsumexp(weights - b * energies)), beta)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Grid sweeps over the control-parameter/temperature plane and line extraction.
 
-Lambda columns are the work items: one function evaluates every requested
-field at every T of one lam through a single lnZ memo, and a sweep maps it
+Lambda columns are the work items: a column is one core field-function call
+per requested field on the column's beta array, and a sweep maps columns
 over the lam axis, optionally on a process pool with one column per task.
 The classifier's specific-heat columns come from the same function. Columns
 are assembled by lam index, so serial and parallel runs produce bit-identical
@@ -13,14 +13,26 @@ import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import core
-from .errors import DomainError, EvaluationError, InsufficientSizes, StepTooSmall
+from .errors import DomainError, EvaluationError, InsufficientSizes
 
-FIELD_NAMES = ("F_beta", "Cv", "chi", "chi_beta", "chi_lambda")
+# each field as one call on a column's ThermoPoint; core is read at call time.
+# F_beta's partner 1/(T + delta_t) starts from point.temperature, as
+# chi_beta's does, which can differ from the grid T in the last bit
+_FIELD_CALLS = {
+    "F_beta": lambda model, point, dt, dlam: core.fidelity_beta(
+        model, point.beta, 1.0 / (point.temperature + dt), point.lam),
+    "Cv": lambda model, point, dt, dlam: core.specific_heat(model, point, dt),
+    "chi": lambda model, point, dt, dlam: core.susceptibility_lambda(model, point, dlam),
+    "chi_beta": lambda model, point, dt, dlam: core.fidelity_susceptibility_beta(
+        model, point, dt),
+    "chi_lambda": lambda model, point, dt, dlam: core.fidelity_susceptibility_lambda(
+        model, point.beta, point.lam, dlam),
+}
+FIELD_NAMES = tuple(_FIELD_CALLS)
 _CHI_FIELDS = ("chi", "chi_lambda")
 
 TYPE_A = "TypeA"
@@ -106,41 +118,20 @@ class CriticalLine:
     classification: str = UNDETERMINED
 
 
-def _cell_value(model, field, point, delta_t, delta_lambda):
-    # F_beta's partner 1/(T + delta_t) is the one chi_beta uses, so the memo
-    # shares it; both start from point.temperature, which can differ from the
-    # grid T in the last bit
-    if field == "F_beta":
-        beta1 = 1.0 / (point.temperature + delta_t)
-        return core.fidelity_beta(model, point.beta, beta1, point.lam)
-    if field == "Cv":
-        return core.specific_heat(model, point, delta_t)
-    if field == "chi":
-        return core.susceptibility_lambda(model, point, delta_lambda)
-    if field == "chi_beta":
-        return core.fidelity_susceptibility_beta(model, point, delta_t)
-    if field == "chi_lambda":
-        return core.fidelity_susceptibility_lambda(model, point.beta, point.lam, delta_lambda)
-    raise DomainError(f"unknown field {field!r}", key="fields")
-
-
 def _sweep_column(model, fields, lam, t_axis, delta_t, delta_lambda):
     """Every requested field at every T of one lam column, shape (len(fields), T).
 
-    One lnZ memo serves the whole column, so stencil points shared between
-    fields and between neighbouring cells are evaluated once. A cell whose
-    evaluation fails is NaN; a DomainError propagates. The field functions
-    are looked up in core at call time.
+    Each field is one core call on the column's beta array. A cell whose
+    evaluation fails is NaN, and so is a field's whole column when an
+    EvaluationError concerns the whole lam; a DomainError propagates.
     """
-    memo = SimpleNamespace(name=model.name, log_z=functools.cache(model.log_z))
+    point = core.ThermoPoint(1.0 / t_axis, lam)
     values = np.empty((len(fields), t_axis.size))
-    for i, t in enumerate(t_axis):
-        point = core.ThermoPoint(1.0 / t, lam)
-        for k, field in enumerate(fields):
-            try:
-                values[k, i] = _cell_value(memo, field, point, delta_t, delta_lambda)
-            except (EvaluationError, StepTooSmall):
-                values[k, i] = math.nan
+    for k, field in enumerate(fields):
+        try:
+            values[k] = _FIELD_CALLS[field](model, point, delta_t, delta_lambda)
+        except EvaluationError:
+            values[k] = math.nan
     return values
 
 
@@ -316,6 +307,27 @@ def _monotone_increasing(values, slack=0.0):
     return all(values[i + 1] > values[i] * (1.0 - slack) for i in range(len(values) - 1))
 
 
+def check_classify(model_family, lambdas, sizes):
+    """[model_family(n) for n in sizes], once classify_transition can use them at lambdas.
+
+    Fewer than three sizes raise InsufficientSizes. Sizes that are not
+    strictly increasing, or that the model rejects, raise DomainError keyed
+    "sizes"; a lam outside the model's lambda_domain raises one keyed "lambdas".
+    """
+    sizes = list(sizes)
+    if len(sizes) < 3:
+        raise InsufficientSizes(f"need at least 3 sizes, got {len(sizes)}")
+    if any(sizes[i + 1] <= sizes[i] for i in range(len(sizes) - 1)):
+        raise DomainError(f"sizes must be strictly increasing, got {sizes}", key="sizes")
+    try:
+        family = [model_family(n) for n in sizes]
+    except DomainError as exc:
+        raise DomainError(str(exc), key="sizes") from exc
+    for lam in lambdas:
+        core.check_lambda(family[0], lam, key="lambdas")
+    return family
+
+
 def classify_transition(model_family, lam, sizes, t_axis, delta_t):
     """Classify the fixed-lam behavior as TypeA, TypeB, Crossover or Undetermined.
 
@@ -333,15 +345,11 @@ def classify_transition(model_family, lam, sizes, t_axis, delta_t):
         -> Crossover; refinement-stable -> TypeB (an already-resolved
         discontinuity).
     """
-    sizes = list(sizes)
-    if len(sizes) < 3:
-        raise InsufficientSizes(f"need at least 3 sizes, got {len(sizes)}")
-    if any(sizes[i + 1] <= sizes[i] for i in range(len(sizes) - 1)):
-        raise DomainError("sizes must be strictly increasing")
+    family = check_classify(model_family, [lam], sizes)
     t_axis = as_axis(t_axis, "t_axis")
     _require_uniform(t_axis, "t_axis")
 
-    columns = [_cv_column(model_family(n), lam, t_axis, delta_t) for n in sizes]
+    columns = [_cv_column(model, lam, t_axis, delta_t) for model in family]
     if any(np.isnan(col).all() for col in columns):
         raise EvaluationError("specific-heat column evaluation failed for a size")
     peaks = [float(np.nanmax(col)) for col in columns]
@@ -350,7 +358,7 @@ def classify_transition(model_family, lam, sizes, t_axis, delta_t):
     if _monotone_increasing(peaks, slack=1e-9) and peaks[-1] > GROWTH_FACTOR * peaks[0]:
         return TYPE_A
 
-    largest = model_family(sizes[-1])
+    largest = family[-1]
     norm = largest.size_hint or 1
     t_peak = float(t_axis[int(np.nanargmax(columns[-1]))])
     point = core.ThermoPoint(1.0 / t_peak, lam)

@@ -327,6 +327,10 @@ def test_build_axis_specs():
     ({"detect": {"jumps": "Cv", "jump_threshold": 0}}, "detect.jump_threshold"),
     ({"threads": True}, "threads"),
     ({"failure_budget": "0.1"}, "failure_budget"),
+    ({"model": {"name": "ising2d"}, "grid": {"lambda": [0.0], "t": [2.0, 2.2, 2.4]},
+      "classify": {"sizes": [100, 200, 400], "lambdas": [0.1]}}, "classify.lambdas"),
+    ({"model": {"name": "tim1d"}, "classify": {"sizes": [400, 200, 100], "lambdas": [0.9]}},
+     "classify.sizes"),
 ])
 def test_scan_rejects_bad_value_before_output(tmp_path, capsys, change, key):
     cfg = dict(minimal_config(tmp_path), **change)

@@ -143,6 +143,22 @@ def test_step_too_small_raises():
         core.specific_heat(TwoLevel(), ThermoPoint(1.0, 0.0), 1e-12)
 
 
+def test_field_array_is_nan_exactly_where_the_float_call_raises():
+    # with delta_t = 1e-4 the Cv difference is below the noise floor at T = 50,
+    # not at T = 1; Tim1D's lnZ fails at beta J = 2e5 (panel budget)
+    model = TwoLevel()
+    cv = core.specific_heat(model, ThermoPoint(np.array([1.0, 1.0 / 50.0]), 0.0), 1e-4)
+    assert cv[0] == core.specific_heat(model, ThermoPoint(1.0, 0.0), 1e-4)
+    assert np.isnan(cv[1])
+    with pytest.raises(StepTooSmall):
+        core.specific_heat(model, ThermoPoint(1.0 / 50.0, 0.0), 1e-4)
+    fid = core.fidelity_beta(Tim1D(), np.array([1.0, 2e5]), np.array([1.1, 2e5 + 1.0]), 1.0)
+    assert fid[0] == core.fidelity_beta(Tim1D(), 1.0, 1.1, 1.0)
+    assert np.isnan(fid[1])
+    with pytest.raises(EvaluationError):
+        core.fidelity_beta(Tim1D(), 2e5, 2e5 + 1.0, 1.0)
+
+
 def test_chi_beta_two_level():
     chi_beta = core.fidelity_susceptibility_beta(TwoLevel(), ThermoPoint(1.0, 0.0), 1e-3)
     assert chi_beta == pytest.approx(CHI_BETA_TWO_LEVEL, rel=1e-2)

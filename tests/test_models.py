@@ -2,13 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from thermofid import core
 from thermofid.core import ThermoPoint
-from thermofid.errors import DomainError
+from thermofid.errors import DomainError, QuadratureError
+from thermofid.exact import DenseModel, spin_chain_hamiltonian
+from thermofid.lmg import Lmg
 from thermofid.models import (
     Dicke,
     Ising2D,
@@ -268,3 +271,66 @@ def test_model_metadata():
     assert Dicke(n_atoms=7).size_hint == 7
     assert TwoLevel().size_hint is None
     assert TwoLevelField().name == "two_level_field"
+
+
+# ---------------------------------------------------------------------------
+# the log_z array contract and the quadrature oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model, lam", [
+    (Ising2D(n_sites=3), 0.0),
+    (Tim1D(n_sites=2), 0.9),
+    (Dicke(n_atoms=20), 1.2),
+    (Lmg(n_spins=16), 0.5),
+    (TwoLevel(), 0.0),
+    (TwoLevelField(), 0.7),
+    (DenseModel(lambda lam: spin_chain_hamiltonian(3, 1.0, lam), "chain3"), 0.6),
+], ids=lambda v: getattr(v, "name", None))
+def test_log_z_array_matches_float_calls_bitwise(model, lam):
+    # T from 0.05 to 4 takes Tim1D through 64, 128 and 256 trapezoid panels
+    betas = 1.0 / np.linspace(0.05, 4.0, 41)
+    values = model.log_z(betas, lam)
+    assert isinstance(values, np.ndarray) and values.shape == betas.shape
+    assert values.tolist() == [model.log_z(float(b), lam) for b in betas]
+
+
+def test_log_z_array_is_nan_only_where_a_beta_fails():
+    # at N = 800, lam = 3 and T = 0.05 Dicke's adaptive Simpson misses its
+    # tolerance; Tim1D at beta J = 2e5 needs more than its panel budget
+    for model, lam, bad_beta in ((Dicke(n_atoms=800), 3.0, 20.0), (Tim1D(), 1.0, 2e5)):
+        values = model.log_z(np.array([1.0, bad_beta, 2.0]), lam)
+        assert np.isnan(values).tolist() == [False, True, False]
+        assert values[[0, 2]].tolist() == [model.log_z(1.0, lam), model.log_z(2.0, lam)]
+        with pytest.raises(QuadratureError):
+            model.log_z(bad_beta, lam)
+
+
+ORACLE_POINTS = (
+    [("ising", 0.0, t) for t in (1.5, 2.0, 2.2, ISING_TC, 2.28, 2.6, 3.5)]
+    + [("tim", lam, t) for lam in (0.0, 0.5, 0.9, 1.0, 1.5) for t in (0.05, 0.1, 0.5, 1.5)]
+)
+
+
+def _mp_per_site_log_z(kind, beta, lam):
+    """Per-site lnZ by mpmath.quad at 30 digits, from the same float beta as the model."""
+    with mpmath.workdps(30):
+        beta, lam = mpmath.mpf(beta), mpmath.mpf(lam)
+        if kind == "ising":
+            y = 2 * beta
+            k = 2 * mpmath.sinh(y) / mpmath.cosh(y) ** 2
+            integral = mpmath.quad(
+                lambda phi: mpmath.log((1 + mpmath.sqrt(1 - (k * mpmath.sin(phi)) ** 2)) / 2),
+                [0, mpmath.pi / 2, mpmath.pi])
+            return mpmath.log(2 * mpmath.cosh(y)) + integral / (2 * mpmath.pi)
+        eps = lambda q: mpmath.sqrt(1 + lam**2 - 2 * lam * mpmath.cos(q))
+        integral = mpmath.quad(lambda q: mpmath.log(mpmath.cosh(beta * eps(q))),
+                               [0, mpmath.pi / 2, mpmath.pi])
+        return mpmath.log(2) + integral / mpmath.pi
+
+
+@pytest.mark.parametrize("kind, lam, t", ORACLE_POINTS)
+def test_fixed_rules_match_mpmath(kind, lam, t):
+    beta = 1.0 / t
+    value = (Ising2D() if kind == "ising" else Tim1D()).log_z(beta, lam)
+    reference = _mp_per_site_log_z(kind, beta, lam)
+    assert abs(float(value - reference)) <= 1e-14 * max(1.0, abs(value))

@@ -27,7 +27,11 @@ from thermofid.scan import (
 
 
 class FailingModel:
-    """Evaluates like a free spin but fails above a temperature threshold."""
+    """Evaluates like a free spin but fails above a temperature threshold.
+
+    Follows the array contract: NaN at a failing beta of an array call,
+    EvaluationError for a float call.
+    """
 
     name = "failing"
     size_hint = None
@@ -36,13 +40,13 @@ class FailingModel:
         self.beta_fail = 1.0 / t_fail
 
     def log_z(self, beta, lam):
-        if beta < self.beta_fail:
+        if np.ndim(beta) == 0 and beta < self.beta_fail:
             raise EvaluationError("unsupported corner")
-        return float(np.logaddexp(beta, -beta))
+        return np.where(beta < self.beta_fail, np.nan, np.logaddexp(beta, -beta))
 
 
 class CountingModel(TwoLevel):
-    """Free spin that counts its lnZ evaluations."""
+    """Free spin that counts its lnZ calls, each of which may take a beta array."""
 
     def __init__(self):
         super().__init__()
@@ -50,6 +54,18 @@ class CountingModel(TwoLevel):
 
     def log_z(self, beta, lam):
         object.__setattr__(self, "calls", self.calls + 1)
+        return super().log_z(beta, lam)
+
+
+class RecordingModel(TwoLevel):
+    """Free spin that keeps the beta array of each lnZ call."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "betas", [])
+
+    def log_z(self, beta, lam):
+        self.betas.append(np.array(beta, copy=True))
         return super().log_z(beta, lam)
 
 
@@ -103,17 +119,23 @@ def test_field_shape_validation():
 
 
 def test_single_cell_sweep_matches_kernel_directly():
-    grid = ScanGrid(np.array([0.4]), np.array([1.25]), delta_t=0.01, delta_lambda=0.01)
-    model = TwoLevelField()
-    fields = sweep(model, grid, ["F_beta", "Cv", "chi", "chi_beta", "chi_lambda"])
-    by = {f.name: f.values[0, 0] for f in fields}
-    beta = 1.0 / 1.25
-    point = core.ThermoPoint(beta, 0.4)
-    assert by["F_beta"] == core.fidelity_beta(model, beta, 1.0 / 1.26, 0.4)
-    assert by["Cv"] == core.specific_heat(model, point, 0.01)
-    assert by["chi"] == core.susceptibility_lambda(model, point, 0.01)
-    assert by["chi_beta"] == core.fidelity_susceptibility_beta(model, point, 0.01)
-    assert by["chi_lambda"] == core.fidelity_susceptibility_lambda(model, beta, 0.4, 0.01)
+    for model, lam, fields in (
+        (TwoLevelField(), 0.4, ["F_beta", "Cv", "chi", "chi_beta", "chi_lambda"]),
+        (Tim1D(), 0.4, ["F_beta", "Cv", "chi", "chi_beta", "chi_lambda"]),
+        (Ising2D(), 0.0, ["F_beta", "Cv", "chi_beta"]),
+    ):
+        grid = ScanGrid(np.array([lam]), np.array([1.25]), delta_t=0.01, delta_lambda=0.01)
+        by = {f.name: f.values[0, 0] for f in sweep(model, grid, fields)}
+        beta = 1.0 / 1.25
+        point = core.ThermoPoint(beta, lam)
+        direct = {
+            "F_beta": lambda: core.fidelity_beta(model, beta, 1.0 / 1.26, lam),
+            "Cv": lambda: core.specific_heat(model, point, 0.01),
+            "chi": lambda: core.susceptibility_lambda(model, point, 0.01),
+            "chi_beta": lambda: core.fidelity_susceptibility_beta(model, point, 0.01),
+            "chi_lambda": lambda: core.fidelity_susceptibility_lambda(model, beta, lam, 0.01),
+        }
+        assert by == {name: direct[name]() for name in fields}
 
 
 def test_sweep_validates_requests():
@@ -127,25 +149,30 @@ def test_sweep_validates_requests():
 
 
 def test_sweep_shares_lnz_calls_within_a_cell():
-    # F_beta and chi_beta share 1/(T + delta_t) and its midpoint, Cv shares
-    # beta: 5 distinct lnZ points per cell, also where 1/(1/T) != T
+    # F_beta and chi_beta share 1/(T + delta_t) and its midpoint bitwise, Cv
+    # shares beta: the 9 stencil evaluations of a cell land on 5 distinct lnZ
+    # points, also where 1/(1/T) != T
     t_axis = np.linspace(0.5, 2.0, 61)
     assert any(1.0 / (1.0 / t) != t for t in t_axis)
-    model = CountingModel()
+    model = RecordingModel()
     grid = ScanGrid(np.array([0.0]), t_axis, delta_t=0.01)
     sweep(model, grid, ["F_beta", "Cv", "chi_beta"], threads=1)
-    assert model.calls == 5 * t_axis.size
+    betas = np.stack(model.betas)
+    assert betas.shape == (9, t_axis.size)
+    assert [len(set(cell)) for cell in betas.T] == [5] * t_axis.size
 
 
 def test_sweep_shares_lnz_calls_across_a_column():
-    # one memo serves a whole lam column: on a T step of delta_t / 2 the Cv
-    # stencil points of neighbouring cells coincide bitwise with each other
-    # and with their beta values
-    t_axis = np.linspace(1.5, 3.5, 401)
-    model = CountingModel()
-    grid = ScanGrid(np.array([0.0]), t_axis, delta_t=0.01)
-    sweep(model, grid, ["F_beta", "Cv", "chi_beta"], threads=1)
-    assert model.calls == 1100
+    # each lnZ call takes the column's whole beta array and so serves every
+    # cell of it: three calls each for F_beta, Cv and chi_beta per column,
+    # whatever the length of the T axis
+    calls = []
+    for size in (5, 401):
+        model = CountingModel()
+        grid = ScanGrid(np.array([0.0, 0.5]), np.linspace(1.5, 3.5, size), delta_t=0.01)
+        sweep(model, grid, ["F_beta", "Cv", "chi_beta"], threads=1)
+        calls.append(model.calls)
+    assert calls == [2 * 9, 2 * 9]
 
 
 def test_sweep_rejects_lambda_outside_model_domain():
@@ -185,9 +212,9 @@ def test_benchmark_tracer_sees_column_sweep(tmp_path):
                    env={**os.environ, "PYTHONPATH": path})
     (dump,) = tmp_path.glob("spans-*.json")
     names = [span[0] for span in json.loads(dump.read_text())["spans"]]
-    assert names.count("core.specific_heat") == 2
-    assert names.count("core.fidelity_beta") == 2
-    assert "models.two_level.log_z" in names
+    assert names.count("core.specific_heat") == 1
+    assert names.count("core.fidelity_beta") == 1
+    assert names.count("models.two_level.log_z") == 6
 
 
 def test_sweep_records_failures_as_nan():
@@ -198,14 +225,18 @@ def test_sweep_records_failures_as_nan():
 
 
 def test_sweep_parallel_bitwise_identical():
-    # more columns than workers, one column, and more workers than columns
-    for lam_axis, threads in ((np.linspace(0.1, 0.9, 3), 2), (np.array([0.4]), 2),
-                              (np.array([0.2, 0.7]), 3)):
-        grid = ScanGrid(lam_axis, np.linspace(0.8, 1.6, 5), delta_t=0.01, delta_lambda=0.01)
-        serial = sweep(TwoLevelField(), grid, ["F_beta", "Cv", "chi"], threads=1)
-        parallel = sweep(TwoLevelField(), grid, ["F_beta", "Cv", "chi"], threads=threads)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.values, b.values)
+    # more columns than workers, one column, and more workers than columns;
+    # Ising2D is defined at lam = 0 only, so it takes the one-column case
+    several = ((np.linspace(0.1, 0.9, 3), 2), (np.array([0.4]), 2), (np.array([0.2, 0.7]), 3))
+    for model, cases, fields in ((TwoLevelField(), several, ["F_beta", "Cv", "chi"]),
+                                 (Tim1D(), several, ["F_beta", "Cv", "chi"]),
+                                 (Ising2D(), ((np.array([0.0]), 2),), ["F_beta", "Cv"])):
+        for lam_axis, threads in cases:
+            grid = ScanGrid(lam_axis, np.linspace(0.8, 1.6, 5), delta_t=0.01, delta_lambda=0.01)
+            serial = sweep(model, grid, fields, threads=1)
+            parallel = sweep(model, grid, fields, threads=threads)
+            for a, b in zip(serial, parallel):
+                assert np.array_equal(a.values, b.values)
 
 
 def test_fidelity_field_in_unit_interval():
@@ -341,7 +372,7 @@ def test_classify_synthetic_growing_peak_is_type_a():
             self.size_hint = n
 
         def log_z(self, beta, lam):
-            return self.size_hint**1.5 * float(np.logaddexp(beta, -beta))
+            return self.size_hint**1.5 * np.logaddexp(beta, -beta)
 
     t_axis = np.linspace(0.5, 1.5, 21)
     verdict = classify_transition(PeakModel, 0.0, [10, 100, 1000], t_axis, 0.01)
