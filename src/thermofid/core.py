@@ -25,6 +25,9 @@ from .errors import DomainError, EvaluationError, StepTooSmall
 # this multiple of epsilon * (|g(lo)| + |g(hi)| + |g(mid)|) is
 # indistinguishable from the cancellation noise in its terms.
 NOISE_FACTOR = 20.0
+# A term e^-LOG_DROP below the largest term of a sum is negligible at double
+# precision: the Dicke integrand is cut there, and so are LMG's levels.
+LOG_DROP = 45.0
 
 
 def check_beta(beta):

@@ -23,7 +23,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import bisect
 from scipy.special import gammaln, logsumexp
 
-from .core import ThermoModel, check_beta, per_beta
+from .core import LOG_DROP, ThermoModel, check_beta, per_beta
 from .errors import DomainError, EigensolverError, SolverError
 
 MEANFIELD_XTOL = 1e-12
@@ -151,10 +151,19 @@ def lmg_full_log_z(beta, params):
     transition; equals ln Tr exp(-beta H) exactly (verified against brute
     force for small N). An array beta takes one logsumexp per entry: a
     (beta x level) matrix would hold 160,801 levels per beta at N = 800.
+    Each logsumexp sums only the terms x = w - beta E within LOG_DROP of
+    their largest: the n dropped terms move lnZ by at most n e^-45, 4.7e-15
+    at N = 800, under 1/20 ulp of lnZ >= N ln 2 = 554 (Tr H = 0).
     """
     check_beta(beta)
     energies, weights = _full_levels(params.n_spins, params.gamma, params.lam)
-    return per_beta(lambda b: float(logsumexp(weights - b * energies)), beta)
+
+    def at(b):
+        x = energies * -b  # then x += w: bitwise w - b E, with one n-level temporary
+        x += weights
+        return float(logsumexp(x[x >= x.max() - LOG_DROP]))
+
+    return per_beta(at, beta)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,13 @@ from typing import ClassVar
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import ThermoModel, check_beta, check_lambda, nan_or_raise, per_beta
+from .core import LOG_DROP, ThermoModel, check_beta, check_lambda, nan_or_raise, per_beta
 from .errors import CutoffError, DomainError, QuadratureError
 from .quadrature import adaptive_simpson, composite_simpson
 
 QUAD_TOL = 1e-10
 LN2 = math.log(2.0)
 
-# e^-45 below the peak is negligible at double precision
-DICKE_CUTOFF_DROP = 45.0
 # a chain beta needing more trapezoid panels (T below about 8e-6 J) fails
 TIM_MAX_PANELS = 2**20
 
@@ -184,7 +182,7 @@ class Dicke(ThermoModel):
     def _log_z_at(self, beta, lam):
         g = lambda r: self._log_integrand(r, beta, lam)
         r_peak, g_peak = _log_peak(g, r_start=1.0 / math.sqrt(2.0 * beta))
-        r_max = _cutoff_radius(g, r_peak, g_peak, DICKE_CUTOFF_DROP)
+        r_max = _cutoff_radius(g, r_peak, g_peak, LOG_DROP)
 
         def f(r):
             return np.exp(g(r) - g_peak)

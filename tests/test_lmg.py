@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from thermofid import core
+from thermofid import core, lmg
 from thermofid.errors import DomainError
 from thermofid.lmg import (
     Lmg,
     LmgParams,
+    _full_levels,
     lmg_build_matrix,
     lmg_full_log_z,
     lmg_log_z,
@@ -144,8 +145,6 @@ def test_full_trace_exceeds_sector_trace():
 
 def test_fidelity_two_evaluation_routes_agree():
     # overlap of level populations vs the lnZ combination
-    from thermofid.lmg import _full_levels
-
     n, gamma, lam = 120, 0.2, 0.5
     model = Lmg(n, gamma)
     energies, weights = _full_levels(n, gamma, lam)
@@ -171,6 +170,64 @@ def test_exact_cv_peak_approaches_meanfield_line():
         gaps.append(abs(t_axis[int(np.argmax(col))] - tc))
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < gaps[0]
+
+
+def test_level_cutoff_exact_on_acceptance_columns(monkeypatch):
+    # every beta the Cv and chi stencils take on the acceptance columns,
+    # T 0.40-1.15 step 0.01 with delta_t = 0.002
+    t = np.round(np.arange(0.40, 1.15001, 0.01), 10)
+    betas = np.concatenate([1.0 / (t - 0.001), 1.0 / t, 1.0 / (t + 0.001)])
+    for lam in (0.2, 0.4, 0.6, 0.8):
+        params = LmgParams(800, 0.2, lam)
+        energies, weights = _full_levels(800, 0.2, lam)
+        full = [float(logsumexp(weights - b * energies)) for b in betas]
+        assert lmg_full_log_z(betas, params).tolist() == full
+
+    sizes = []
+
+    def recorder(x):
+        sizes.append(x.size)
+        return logsumexp(x)
+
+    monkeypatch.setattr(lmg, "logsumexp", recorder)
+    lmg_full_log_z(betas, LmgParams(800, 0.2, 0.8))
+    assert len(sizes) == betas.size
+    assert max(sizes) < 0.25 * 401**2
+
+
+def exact_cv(n_spins, gamma, lam, beta, delta_t):
+    """Cv = beta^2 Var(H) over every degeneracy-weighted level, and the stencil's error.
+
+    No stencil and no cutoff. The central second difference of F in T with
+    h = delta_t / 2 is off by -(h^2 / 12) T F^(4)(T) at leading order, where
+    F^(4) = -12 beta^5 k2 + 8 beta^6 k3 - beta^7 k4 in the energy cumulants k_n.
+    """
+    energies, weights = _full_levels(n_spins, gamma, lam)
+    x = weights - beta * energies
+    p = np.exp(x - logsumexp(x))
+    d = energies - p @ energies
+    k2, k3 = p @ d**2, p @ d**3
+    k4 = p @ d**4 - 3.0 * k2**2
+    h = 0.5 * delta_t
+    lead = h**2 / 12.0 * (12.0 * beta**4 * k2 - 8.0 * beta**5 * k3 + beta**6 * k4)
+    return beta**2 * k2, lead
+
+
+@pytest.mark.parametrize("n", [120, 800])
+def test_specific_heat_matches_spectral_oracle(n):
+    # T kept at least 0.14 from the lam = 0.5 jump at T_c = 0.910; the
+    # stencil's error is its O(delta_t^2) leading term to within 2%, plus
+    # the rounding of F ~ T lnZ divided by h^2
+    lam, delta_t = 0.5, 2e-3
+    model = Lmg(n, 0.2)
+    for t in (0.6, 0.75, 1.05, 1.2):
+        beta = 1.0 / t
+        cv, lead = exact_cv(n, 0.2, lam, beta, delta_t)
+        f_scale = t * abs(model.log_z(beta, lam))
+        rounding = 8.0 * np.finfo(float).eps * f_scale / (0.5 * delta_t)**2
+        err = core.specific_heat(model, core.ThermoPoint(beta, lam), delta_t) - cv
+        assert abs(err - lead) <= 0.02 * abs(lead) + rounding
+        assert abs(lead) < 1e-5 * cv
 
 
 # ---------------------------------------------------------------------------

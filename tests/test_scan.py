@@ -193,28 +193,43 @@ def test_sweep_rejects_lambda_outside_model_domain():
     assert info.value.key == "delta_lambda"
 
 
-def test_benchmark_tracer_sees_column_sweep(tmp_path):
-    # bench/tracer.py wraps core's field functions and each model's log_z
-    # after import; a sweep must still go through the wrapped attributes
+def traced_span_names(tmp_path, body):
+    """Span names from running body in a fresh interpreter under bench/tracer.py."""
     root = pathlib.Path(__file__).resolve().parents[1]
-    script = (
-        "import sys\n"
-        "from tracer import Tracer\n"
-        "from thermofid import models, scan\n"
-        "tracer = Tracer(sys.argv[1]).install()\n"
-        "grid = scan.ScanGrid([0.0], [1.0, 1.5], delta_t=0.01)\n"
-        "scan.sweep(models.TwoLevel(), grid, ['F_beta', 'Cv'], threads=1)\n"
-        "tracer.dump()\n"
-    )
+    script = ("import sys\n"
+              "from tracer import Tracer\n"
+              "from thermofid import lmg, models, scan\n"
+              "tracer = Tracer(sys.argv[1]).install()\n"
+              f"{body}\n"
+              "tracer.dump()\n")
     path = os.pathsep.join([str(root / "src"), str(root / "bench"),
                             os.environ.get("PYTHONPATH", "")])
     subprocess.run([sys.executable, "-c", script, str(tmp_path)], check=True,
                    env={**os.environ, "PYTHONPATH": path})
     (dump,) = tmp_path.glob("spans-*.json")
-    names = [span[0] for span in json.loads(dump.read_text())["spans"]]
+    return [span[0] for span in json.loads(dump.read_text())["spans"]]
+
+
+def test_benchmark_tracer_sees_column_sweep(tmp_path):
+    # bench/tracer.py wraps core's field functions and each model's log_z
+    # after import; a sweep must still go through the wrapped attributes
+    names = traced_span_names(tmp_path, (
+        "grid = scan.ScanGrid([0.0], [1.0, 1.5], delta_t=0.01)\n"
+        "scan.sweep(models.TwoLevel(), grid, ['F_beta', 'Cv'], threads=1)"))
     assert names.count("core.specific_heat") == 1
     assert names.count("core.fidelity_beta") == 1
     assert names.count("models.two_level.log_z") == 6
+
+
+def test_benchmark_tracer_sees_lmg_wrap_points(tmp_path):
+    # bench/tracer.py also wraps lmg.eigh_tridiagonal and lmg.logsumexp by
+    # name; binding either at import would silently zero its layer timing
+    names = traced_span_names(tmp_path, (
+        "grid = scan.ScanGrid([0.3], [1.0, 1.5], delta_t=0.01)\n"
+        "scan.sweep(lmg.Lmg(20, 0.2), grid, ['Cv'], threads=1)"))
+    assert names.count("models.lmg.log_z") == 3
+    assert names.count("lmg.eigh_tridiagonal") > 0
+    assert names.count("lmg.logsumexp") == 6  # one per stencil beta
 
 
 def test_sweep_records_failures_as_nan():
