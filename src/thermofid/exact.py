@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import ThermoModel, check_beta
 from .errors import DomainError, EigensolverError, NegativeEigenvalue
@@ -211,4 +210,6 @@ class DenseModel(ThermoModel):
             w = np.linalg.eigvalsh(h)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"{self.label}: eigensolver failed: {exc}") from exc
-        return logsumexp(-np.multiply.outer(beta, w), axis=-1)
+        # lnZ = -beta w_min + ln sum exp(-beta (w - w_min)); eigvalsh sorts w ascending
+        terms = np.exp(-np.multiply.outer(beta, w - w[0]))
+        return np.log(terms.sum(axis=-1)) - np.multiply(beta, w[0])

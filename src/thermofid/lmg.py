@@ -19,16 +19,27 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import bisect
-from scipy.special import gammaln, logsumexp
 
-from .core import LOG_DROP, ThermoModel, check_beta, per_beta
+from .core import LOG_DROP, ThermoModel, bind_once, check_beta, per_beta
 from .errors import DomainError, EigensolverError, SolverError
 
 MEANFIELD_XTOL = 1e-12
 _BRACKET_LO = 1e-9
 _BRACKET_HI = 1.0 - 1e-9
+
+
+def _load_scipy():
+    """Bind eigh_tridiagonal, gammaln and logsumexp here, keeping any name already bound."""
+    bind_once(globals(), "scipy.linalg", "eigh_tridiagonal")
+    bind_once(globals(), "scipy.special", "gammaln", "logsumexp")
+
+
+def __getattr__(name):
+    # lmg.logsumexp read from outside (to wrap it) before any load
+    if name in ("eigh_tridiagonal", "gammaln", "logsumexp"):
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,7 @@ def _sector_bands(sector_spin, n_spins, gamma, lam):
 
 def _band_eigenvalues(diag, off):
     """All eigenvalues of a step-2-banded symmetric matrix via its parity blocks."""
+    _load_scipy()  # every entry point that solves a spectrum gets here first
     blocks = []
     for start in (0, 1):
         d = diag[start::2]
@@ -122,6 +134,7 @@ def log_sector_degeneracy(n_spins, sector_spin):
     g(N, S) = C(N, N/2 - S) - C(N, N/2 - S - 1), evaluated through log-gamma
     so N = 800 stays in range.
     """
+    _load_scipy()
     k = round(0.5 * n_spins - sector_spin)
     if k < 0 or sector_spin < 0:
         raise DomainError(f"no spin-{sector_spin} sector for N={n_spins}")
@@ -183,6 +196,7 @@ class Lmg(ThermoModel):
     def __post_init__(self):
         super().__post_init__()
         LmgParams(self.n_spins, self.gamma, 0.0)  # its rules: n_spins >= 2, 0 <= gamma <= 1
+        _load_scipy()  # here, so a scan imports it while configured, before its pool forks
 
     def log_z(self, beta, lam):
         # even in the field (a pi rotation about x flips its sign), so the
@@ -253,6 +267,8 @@ def lmg_meanfield_solve(beta, lam, gamma):
         # root pinned within 1e-9 of saturation (very low T at small lam)
         m_x = _BRACKET_HI
     else:
+        from scipy.optimize import bisect
+
         try:
             m_x = bisect(factor, _BRACKET_LO, _BRACKET_HI, xtol=MEANFIELD_XTOL)
         except (RuntimeError, ValueError) as exc:

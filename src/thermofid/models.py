@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .core import LOG_DROP, ThermoModel, check_beta, check_lambda, nan_or_raise, per_beta
+from .core import (LOG_DROP, ThermoModel, bind_once, check_beta, check_lambda, nan_or_raise,
+                   per_beta)
 from .errors import CutoffError, DomainError, QuadratureError
 from .quadrature import adaptive_simpson, composite_simpson
 
@@ -132,7 +132,8 @@ class Tim1D(ThermoModel):
         # lies about pi T / 2 off the real axis, so n grows like beta J
         panels = np.maximum(64.0, 2.0 ** np.ceil(np.log2(8.0 * bj)))
         per_site = np.full(bj.shape, math.nan)
-        for n in np.unique(panels[panels <= TIM_MAX_PANELS]):
+        # a set, not np.unique, whose first call imports numpy.ma
+        for n in set(panels[panels <= TIM_MAX_PANELS].tolist()):
             k = np.linspace(0.0, math.pi, int(n) + 1)
             eps = np.sqrt(1.0 + lam * lam - 2.0 * lam * np.cos(k))
             f = log_2cosh(np.multiply.outer(bj[panels == n], eps)) - LN2
@@ -167,6 +168,7 @@ class Dicke(ThermoModel):
         super().__post_init__()
         if self.omega <= 0.0 or self.omega0 <= 0.0:
             raise DomainError("omega and omega0 must be positive")
+        bind_once(globals(), "scipy.optimize", "minimize_scalar")
 
     def _log_integrand(self, r, beta, lam):
         r = np.asarray(r, dtype=float)
@@ -198,6 +200,8 @@ def _log_peak(g, r_start):
     Geometric samples bracket the peak (the Gaussian factor guarantees decay
     at both ends); golden-section search refines it.
     """
+    # Dicke.__post_init__ binds it too; a Dicke unpickled in a spawned worker never ran that
+    bind_once(globals(), "scipy.optimize", "minimize_scalar")
     radii = r_start * 2.0 ** np.arange(-6.0, 62.0)
     values = g(radii)
     idx = int(np.argmax(values))

@@ -258,7 +258,9 @@ def locate_jumps(field, jump_threshold=20.0):
         good = np.isfinite(step)
         if not good.any():
             continue
-        median = float(np.median(step[good]))
+        # np.median's own mean of the middle one or two, minus its first call's numpy.ma import
+        ordered = np.sort(step[good])
+        median = float(np.mean(ordered[(ordered.size - 1) // 2:ordered.size // 2 + 1]))
         flagged = np.where(good & (step > jump_threshold * median) & (step > 0.0))[0]
         if flagged.size == 0:
             continue

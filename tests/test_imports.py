@@ -1,0 +1,98 @@
+"""What a cold start imports: scipy only for the models that call it, and nothing mid-scan.
+
+Each test runs in a fresh interpreter, because the test process itself has
+long since imported scipy through other tests.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCHMARK_WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())
+                       ["workloads"]]
+MODEL_CONFIGS = {
+    "ising2d": {"model": {"name": "ising2d"}, "grid": {"lambda": [0.0], "t": [2.0, 2.5]}},
+    "tim1d": {"model": {"name": "tim1d"}, "grid": {"lambda": [0.5], "t": [0.5, 1.0]}},
+    "lmg": {"model": {"name": "lmg", "n_spins": 20}, "grid": {"lambda": [0.5], "t": [0.5, 1.0]}},
+}
+
+
+def fresh(tmp_path, body):
+    """The JSON value body prints last, run as a script in a fresh interpreter."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench"),
+                            os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", body], check=True, capture_output=True,
+                          text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+SCIPY_MODULES = "json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    assert fresh(tmp_path, f"import json, sys, thermofid.cli\nprint({SCIPY_MODULES})") == []
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CONFIGS))
+def test_resolving_a_config_loads_scipy_only_for_lmg(tmp_path, name):
+    config = dict(MODEL_CONFIGS[name], delta_t=0.01, fields=["Cv"])
+    loaded = fresh(tmp_path, (
+        "import json, sys\n"
+        "from thermofid import cli, scan\n"
+        "def no_sweep(*args, **kwargs): raise AssertionError('resolving must not sweep')\n"
+        "scan.sweep = no_sweep\n"
+        f"cli.resolve_scan_config(json.loads({json.dumps(json.dumps(config))}))\n"
+        f"print({SCIPY_MODULES})"))
+    if name == "lmg":
+        # the level build's eigensolver; the mean-field root finder stays unloaded
+        assert "scipy.linalg" in loaded and "scipy.special" in loaded
+        assert "scipy.optimize" not in loaded
+    else:
+        assert loaded == []
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_serial_benchmark_scan_imports_nothing(tmp_path, workload):
+    # a module imported on first use inside the scan would be timed as scan work
+    added = fresh(tmp_path, (
+        "import json, sys\n"
+        "import workloads\n"
+        "from thermofid import cli\n"
+        f"for op, config in workloads.build({workload!r}, 0, tiny=True):\n"
+        "    with open(op + '.json', 'w') as fh:\n"
+        "        json.dump(dict(config, threads=1, output_dir=op), fh)\n"
+        "    cli.resolve_scan_config(cli.load_config(op + '.json'))\n"
+        "    before = set(sys.modules)\n"
+        "    cli.cmd_scan(op + '.json')\n"
+        "    print(json.dumps(sorted(set(sys.modules) - before)))"))
+    assert added == []
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_outside_patches_survive_the_lazy_scipy_load(tmp_path, read_first):
+    # bench/tracer.py and test_lmg replace these names from outside; binding
+    # scipy's functions over them would silently bypass the replacement.
+    # read_first takes the originals from lmg itself (its lazy attribute
+    # lookup), otherwise they come from scipy and lmg has loaded nothing yet.
+    linalg, special = ("lmg", "lmg") if read_first else ("scipy.linalg", "scipy.special")
+    calls = fresh(tmp_path, (
+        "import json\n"
+        "import scipy.linalg, scipy.special\n"
+        "from thermofid import lmg\n"
+        "calls = {'eigh_tridiagonal': 0, 'logsumexp': 0}\n"
+        "def counting(name, fn):\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        calls[name] += 1\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return wrapper\n"
+        f"lmg.eigh_tridiagonal = counting('eigh_tridiagonal', {linalg}.eigh_tridiagonal)\n"
+        f"lmg.logsumexp = counting('logsumexp', {special}.logsumexp)\n"
+        "lmg.Lmg(n_spins=20).log_z(1.0, 0.3)\n"
+        "print(json.dumps(calls))"))
+    assert calls["eigh_tridiagonal"] > 0
+    assert calls["logsumexp"] == 1
