@@ -251,11 +251,12 @@ def _fmt(x):
 
 
 def write_field_csv(path, field):
+    t_cols = [_fmt(t) for t in field.grid.t_axis]
+    rows = [f"{lam},{t},{_fmt(value)}\n"
+            for lam, values in zip(map(_fmt, field.grid.lambda_axis), field.values.tolist())
+            for t, value in zip(t_cols, values)]
     with open(path, "w") as fh:
-        fh.write("lambda,T,value\n")
-        for i, lam in enumerate(field.grid.lambda_axis):
-            for j, t in enumerate(field.grid.t_axis):
-                fh.write(f"{_fmt(lam)},{_fmt(t)},{_fmt(field.values[i, j])}\n")
+        fh.write("lambda,T,value\n" + "".join(rows))
 
 
 def write_line_csv(path, line):
@@ -563,7 +564,8 @@ def main(argv=None):
     p_scan = sub.add_parser("scan", help="sweep a model over a lam-T grid")
     p_scan.add_argument("config", help="JSON run configuration")
     p_scan.add_argument("--threads", type=int, default=None,
-                        help="work-pool size (default: available parallelism)")
+                        help="most pool workers, at most one per lambda column "
+                             "(default: available parallelism)")
 
     sub.add_parser("validate", help="run the dense-oracle consistency suite")
 

@@ -2,7 +2,8 @@
 
 Lambda columns are the work items: a column is one core field-function call
 per requested field on the column's beta array, and a sweep maps columns
-over the lam axis, optionally on a process pool with one column per task.
+over the lam axis, on a process pool with one column per task when there is
+more than one column to share.
 The classifier's specific-heat columns come from the same function. Columns
 are assembled by lam index, so serial and parallel runs produce bit-identical
 fields. Cells whose evaluation fails are recorded as NaN and skipped by the
@@ -169,14 +170,16 @@ def sweep(model, grid, fields, threads=1):
 
     Returns one ScanField per requested name, in request order. Per-cell
     evaluation failures become NaN markers; domain errors (a structurally
-    invalid request) propagate.
+    invalid request) propagate. threads caps the pool's workers, which are
+    never more than the columns; with one worker the columns run in-process.
     """
     fields = tuple(fields)
     check_request(model, grid, fields)
     column = functools.partial(_sweep_column, model, fields, t_axis=grid.t_axis,
                                delta_t=grid.delta_t, delta_lambda=grid.delta_lambda)
-    if threads is not None and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads or 1, grid.lambda_axis.size)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             columns = list(pool.map(column, grid.lambda_axis))
     else:
         columns = [column(lam) for lam in grid.lambda_axis]

@@ -56,21 +56,32 @@ def test_resolving_a_config_loads_scipy_only_for_lmg(tmp_path, name):
         assert loaded == []
 
 
-@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
-def test_serial_benchmark_scan_imports_nothing(tmp_path, workload):
-    # a module imported on first use inside the scan would be timed as scan work
-    added = fresh(tmp_path, (
+def scan_imports(tmp_path, workload, **overrides):
+    """Modules a scan of workload's tiny configuration adds to sys.modules, after resolve."""
+    return fresh(tmp_path, (
         "import json, sys\n"
         "import workloads\n"
         "from thermofid import cli\n"
         f"for op, config in workloads.build({workload!r}, 0, tiny=True):\n"
         "    with open(op + '.json', 'w') as fh:\n"
-        "        json.dump(dict(config, threads=1, output_dir=op), fh)\n"
+        f"        json.dump(dict(config, output_dir=op, **{overrides!r}), fh)\n"
         "    cli.resolve_scan_config(cli.load_config(op + '.json'))\n"
         "    before = set(sys.modules)\n"
         "    cli.cmd_scan(op + '.json')\n"
         "    print(json.dumps(sorted(set(sys.modules) - before)))"))
-    assert added == []
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_serial_benchmark_scan_imports_nothing(tmp_path, workload):
+    # a module imported on first use inside the scan would be timed as scan work
+    assert scan_imports(tmp_path, workload, threads=1) == []
+
+
+def test_one_column_scan_starts_no_pool(tmp_path):
+    # ising2d's lambda domain is one point, so its scan is one column and
+    # runs in-process at the workload's threads: 2; a pool would import its
+    # multiprocessing start-up modules here
+    assert scan_imports(tmp_path, "ising_ridge", threads=2) == []
 
 
 @pytest.mark.parametrize("read_first", [False, True])

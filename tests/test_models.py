@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipk
 
 from thermofid import core
 from thermofid.core import ThermoPoint
@@ -99,6 +100,27 @@ def test_ising_critical_temperature():
 def test_ising_convex_in_beta():
     betas = np.linspace(0.2, 0.9, 8)
     assert core.log_z_convexity_defect(Ising2D(), betas, 0.0) >= -1e-8
+
+
+def onsager_energy(beta, coupling_j=1.0):
+    """Per-site internal energy -J coth 2bJ [1 + (2/pi)(2 tanh^2 2bJ - 1) K(kappa)]."""
+    y = 2.0 * beta * coupling_j
+    kappa = 2.0 * math.sinh(y) / math.cosh(y) ** 2
+    return -coupling_j / math.tanh(y) * (
+        1.0 + 2.0 / math.pi * (2.0 * math.tanh(y) ** 2 - 1.0) * ellipk(kappa**2))
+
+
+@pytest.mark.parametrize("coupling_j", [1.0, 2.0])
+def test_ising_energy_matches_onsager(coupling_j):
+    # -d lnZ / d beta by a central difference against Onsager's closed form,
+    # which uses no quadrature; the O(h^2) stencil error peaks at 5e-9 beside
+    # T_c, while a wrong rule weight moves u at O(1)
+    h = 1e-5 / coupling_j
+    betas = 1.0 / (coupling_j * np.linspace(1.5, 3.5, 21))
+    model = Ising2D(coupling_j=coupling_j)
+    energy = -(model.log_z(betas + h, 0.0) - model.log_z(betas - h, 0.0)) / (2.0 * h)
+    exact = np.array([onsager_energy(b, coupling_j) for b in betas])
+    assert np.abs(energy / exact - 1.0).max() < 2e-8
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from thermofid import core
+from thermofid import core, scan
 from thermofid.errors import DomainError, EvaluationError, InsufficientSizes
 from thermofid.models import Dicke, Ising2D, Tim1D, TwoLevel, TwoLevelField
 from thermofid.scan import (
@@ -241,7 +241,9 @@ def test_sweep_records_failures_as_nan():
 
 def test_sweep_parallel_bitwise_identical():
     # more columns than workers, one column, and more workers than columns;
-    # Ising2D is defined at lam = 0 only, so it takes the one-column case
+    # Ising2D is defined at lam = 0 only, so it takes the one-column case.
+    # A one-column sweep runs in-process whatever threads says, so those
+    # cases check the in-process path; the multi-column ones use the pool
     several = ((np.linspace(0.1, 0.9, 3), 2), (np.array([0.4]), 2), (np.array([0.2, 0.7]), 3))
     for model, cases, fields in ((TwoLevelField(), several, ["F_beta", "Cv", "chi"]),
                                  (Tim1D(), several, ["F_beta", "Cv", "chi"]),
@@ -252,6 +254,23 @@ def test_sweep_parallel_bitwise_identical():
             parallel = sweep(model, grid, fields, threads=threads)
             for a, b in zip(serial, parallel):
                 assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("columns, threads, workers", [(1, 2, None), (2, 3, 2), (3, 2, 2)])
+def test_sweep_starts_at_most_one_worker_per_column(monkeypatch, columns, threads, workers):
+    # a pool worker without a column to take costs start-up and does nothing
+    started = []
+
+    class RecordingPool(scan.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    grid = ScanGrid(np.linspace(0.2, 0.8, columns), np.linspace(0.8, 1.6, 3), delta_t=0.01)
+    field = sweep(TwoLevelField(), grid, ["Cv"], threads=threads)[0]
+    assert np.isfinite(field.values).all()
+    assert started == ([] if workers is None else [workers])
 
 
 def test_fidelity_field_in_unit_interval():
