@@ -69,8 +69,9 @@ def load_config(path):
 def _require(cfg, key, kind, path, default=_REQUIRED):
     """cfg[key] checked to be a kind (an int counts as a float, a bool as neither).
 
-    An absent key yields default, and so does null when default is None;
-    without a default the key is required.
+    A float must be finite: JSON readers accept NaN and Infinity. An absent
+    key yields default, and so does null when default is None; without a
+    default the key is required.
     """
     full = f"{path}.{key}" if path else key
     if key not in cfg or (cfg[key] is None and default is None):
@@ -81,6 +82,8 @@ def _require(cfg, key, kind, path, default=_REQUIRED):
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise ConfigError(full, f"must be of type {names}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(full, f"must be finite, got {value}")
     return float(value) if kind is float else value
 
 
@@ -124,6 +127,9 @@ def build_axis(spec, path):
             raise ConfigError(path, "must be a non-empty list of numbers")
         values = np.asarray(spec, dtype=float)
     elif isinstance(spec, dict):
+        _check_keys(spec, ("start", "stop", "step", "num"), path)
+        if "step" in spec and "num" in spec:
+            raise ConfigError(path, "give 'step' or 'num', not both")
         start = _require(spec, "start", float, path)
         stop = _require(spec, "stop", float, path)
         if stop < start:
@@ -154,6 +160,7 @@ def build_grid(cfg, path="grid"):
     if not isinstance(cfg.get("grid"), dict):
         raise ConfigError(path, "missing or not an object")
     grid_cfg = cfg["grid"]
+    _check_keys(grid_cfg, ("lambda", "t"), path)
     lam_axis = build_axis(_require(grid_cfg, "lambda", (list, dict), path), f"{path}.lambda")
     t_axis = build_axis(_require(grid_cfg, "t", (list, dict), path), f"{path}.t")
     delta_t = _require(cfg, "delta_t", float, "")
@@ -198,8 +205,8 @@ def resolve_scan_config(cfg):
             raise ConfigError("classify.sizes", "must be a list of >= 3 positive integers")
         lambdas = _require(classify, "lambdas", list, "classify")
         if not lambdas or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                  for v in lambdas):
-            raise ConfigError("classify.lambdas", "must be a non-empty list of numbers")
+                                  and math.isfinite(v) for v in lambdas):
+            raise ConfigError("classify.lambdas", "must be a non-empty list of finite numbers")
         classify = dict(classify, lambdas=[float(v) for v in lambdas])
         if type(model).size_field is None:
             raise ConfigError("classify", f"model {model.name!r} has no size parameter")
@@ -520,6 +527,7 @@ def cmd_boundary(config_path):
     cfg = load_config(config_path)
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
+    _check_keys(cfg, ("field_file", "mode", "output", "jump_threshold"), "")
     field_file = _require(cfg, "field_file", str, "")
     mode = _require(cfg, "mode", str, "")
     if mode not in ("minima", "jumps"):

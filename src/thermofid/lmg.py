@@ -3,10 +3,9 @@
 The Hamiltonian conserves total spin, so exact finite-N thermodynamics come
 from per-sector diagonalization: every spin-S multiplet is a (2S+1)-dim block
 that is tridiagonal in steps of two, and the full 2^N trace is the
-degeneracy-weighted sum over all sectors. The maximal sector S = N/2 alone is
-also exposed (it carries the low-energy physics and the quantum transition),
-but per-spin thermal response lives in the degeneracy-weighted sum: an
-(N+1)-level sector has vanishing entropy per spin.
+degeneracy-weighted sum over all sectors. That sum, not the maximal sector
+S = N/2 alone, carries the per-spin thermal response: an (N+1)-level sector
+has vanishing entropy per spin.
 
 The finite-temperature mean-field theory (single decoupled spin in the
 self-consistent magnetization) is solved on the gamma < 1 branch, where the
@@ -42,23 +41,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class LmgParams:
-    """Model parameters: spin count, anisotropy gamma in [0, 1], field lam >= 0."""
-
-    n_spins: int
-    gamma: float
-    lam: float
-
-    def __post_init__(self):
-        if self.n_spins < 2:
-            raise DomainError(f"n_spins must be >= 2, got {self.n_spins}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise DomainError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
-            raise DomainError(f"lam must be >= 0 and finite, got {self.lam}")
-
-
 def _sector_bands(sector_spin, n_spins, gamma, lam):
     """Diagonal and step-2 off-diagonal of one spin-S block, m = -S..S."""
     s = sector_spin
@@ -92,40 +74,21 @@ def _band_eigenvalues(diag, off):
     return np.concatenate(blocks)
 
 
-def lmg_build_matrix(params):
+def lmg_build_matrix(n_spins, gamma, lam):
     """Dense symmetric (N+1)x(N+1) matrix in the |S=N/2, m> basis, m = -S..S.
 
     Nonzero entries sit on the diagonal and the second off-diagonals only:
     the field and isotropic parts are diagonal, the anisotropic part couples
     m to m +- 2.
     """
-    diag, off = _sector_bands(0.5 * params.n_spins, params.n_spins,
-                              params.gamma, params.lam)
-    dim = params.n_spins + 1
+    diag, off = _sector_bands(0.5 * n_spins, n_spins, gamma, lam)
+    dim = n_spins + 1
     mat = np.zeros((dim, dim))
     mat[np.arange(dim), np.arange(dim)] = diag
     idx = np.arange(dim - 2)
     mat[idx, idx + 2] = off
     mat[idx + 2, idx] = off
     return mat
-
-
-@lru_cache(maxsize=256)
-def _max_sector_spectrum(n_spins, gamma, lam):
-    diag, off = _sector_bands(0.5 * n_spins, n_spins, gamma, lam)
-    return np.sort(_band_eigenvalues(diag, off))
-
-
-def lmg_sector_energies(params):
-    """Sorted eigenvalues of the maximal-spin-sector matrix."""
-    return _max_sector_spectrum(params.n_spins, params.gamma, params.lam).copy()
-
-
-def lmg_log_z(beta, params):
-    """Maximal-sector lnZ = logsumexp(-beta * E_k) over that block's exact spectrum."""
-    check_beta(beta)
-    energies = _max_sector_spectrum(params.n_spins, params.gamma, params.lam)
-    return per_beta(lambda b: float(logsumexp(-b * energies)), beta)
 
 
 def log_sector_degeneracy(n_spins, sector_spin):
@@ -144,7 +107,7 @@ def log_sector_degeneracy(n_spins, sector_spin):
 
 @lru_cache(maxsize=32)
 def _full_levels(n_spins, gamma, lam):
-    """Energies of every sector plus each level's log-degeneracy weight."""
+    """Energies of every sector, S = N/2 first, plus each level's log-degeneracy weight."""
     energies = []
     weights = []
     n_sectors = n_spins // 2 + 1
@@ -157,34 +120,12 @@ def _full_levels(n_spins, gamma, lam):
     return np.concatenate(energies), np.concatenate(weights)
 
 
-def lmg_full_log_z(beta, params):
-    """Full 2^N-trace lnZ: degeneracy-weighted sum over all spin sectors.
-
-    This is the quantity whose per-spin derivatives carry the thermal
-    transition; equals ln Tr exp(-beta H) exactly (verified against brute
-    force for small N). An array beta takes one logsumexp per entry: a
-    (beta x level) matrix would hold 160,801 levels per beta at N = 800.
-    Each logsumexp sums only the terms x = w - beta E within LOG_DROP of
-    their largest: the n dropped terms move lnZ by at most n e^-45, 4.7e-15
-    at N = 800, under 1/20 ulp of lnZ >= N ln 2 = 554 (Tr H = 0).
-    """
-    check_beta(beta)
-    energies, weights = _full_levels(params.n_spins, params.gamma, params.lam)
-
-    def at(b):
-        x = energies * -b  # then x += w: bitwise w - b E, with one n-level temporary
-        x += weights
-        return float(logsumexp(x[x >= x.max() - LOG_DROP]))
-
-    return per_beta(at, beta)
-
-
 @dataclass(frozen=True)
 class Lmg(ThermoModel):
     """Catalog entry: the collective-spin model as a ThermoModel over lam.
 
-    log_z is the full degeneracy-weighted trace, so sweeps see extensive
-    thermal response functions.
+    n_spins >= 2 and 0 <= gamma <= 1. log_z is the full degeneracy-weighted
+    trace, so sweeps see extensive thermal response functions.
     """
 
     n_spins: int = 100
@@ -195,13 +136,35 @@ class Lmg(ThermoModel):
 
     def __post_init__(self):
         super().__post_init__()
-        LmgParams(self.n_spins, self.gamma, 0.0)  # its rules: n_spins >= 2, 0 <= gamma <= 1
+        if not self.n_spins >= 2:
+            raise DomainError(f"n_spins must be >= 2, got {self.n_spins}", key="n_spins")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise DomainError(f"gamma must be in [0, 1], got {self.gamma}", key="gamma")
         _load_scipy()  # here, so a scan imports it while configured, before its pool forks
 
     def log_z(self, beta, lam):
+        """Full 2^N-trace lnZ: degeneracy-weighted sum over all spin sectors.
+
+        Equals ln Tr exp(-beta H) exactly (verified against brute force for
+        small N). An array beta takes one logsumexp per entry: a (beta x level)
+        matrix would hold 160,801 levels per beta at N = 800. Each logsumexp
+        sums only the terms x = w - beta E within LOG_DROP of their largest:
+        the n dropped terms move lnZ by at most n e^-45, 4.7e-15 at N = 800,
+        under 1/20 ulp of lnZ >= N ln 2 = 554 (Tr H = 0).
+        """
+        check_beta(beta)
+        if not math.isfinite(lam):
+            raise DomainError(f"lam must be finite, got {lam}", key="lam")
         # even in the field (a pi rotation about x flips its sign), so the
         # central susceptibility stencil works at lam = 0
-        return lmg_full_log_z(beta, LmgParams(self.n_spins, self.gamma, abs(lam)))
+        energies, weights = _full_levels(self.n_spins, self.gamma, abs(lam))
+
+        def at(b):
+            x = energies * -b  # then x += w: bitwise w - b E, with one n-level temporary
+            x += weights
+            return float(logsumexp(x[x >= x.max() - LOG_DROP]))
+
+        return per_beta(at, beta)
 
 
 # ---------------------------------------------------------------------------

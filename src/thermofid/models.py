@@ -121,6 +121,12 @@ class Tim1D(ThermoModel):
     name: ClassVar[str] = "tim1d"
     size_field: ClassVar[str] = "n_sites"
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.coupling_j > 0.0:
+            raise DomainError(f"coupling_j must be positive, got {self.coupling_j}",
+                              key="coupling_j")
+
     def log_z(self, beta, lam):
         check_beta(beta)
         # even in the field (a pi rotation about z flips its sign), so the
@@ -166,8 +172,10 @@ class Dicke(ThermoModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.omega <= 0.0 or self.omega0 <= 0.0:
-            raise DomainError("omega and omega0 must be positive")
+        for key in ("omega", "omega0"):
+            value = getattr(self, key)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise DomainError(f"{key} must be positive and finite, got {value}", key=key)
         bind_once(globals(), "scipy.optimize", "minimize_scalar")
 
     def _log_integrand(self, r, beta, lam):

@@ -77,6 +77,17 @@ def test_scan_unknown_keys_exit_2(tmp_path, capsys):
     assert cli.main(["scan", write_config(tmp_path, cfg)]) == 2
     assert "surprise" in capsys.readouterr().err
 
+    cfg = minimal_config(tmp_path)
+    cfg["grid"]["T"] = [1.0]
+    assert cli.main(["scan", write_config(tmp_path, cfg)]) == 2
+    assert "grid.T:" in capsys.readouterr().err
+
+    cfg = minimal_config(tmp_path)
+    cfg["grid"]["t"]["stpe"] = 0.2
+    assert cli.main(["scan", write_config(tmp_path, cfg)]) == 2
+    assert "grid.t.stpe:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 def test_scan_chi_requires_delta_lambda(tmp_path, capsys):
     cfg = minimal_config(tmp_path)
@@ -313,6 +324,10 @@ def test_build_axis_specs():
         cli.build_axis({"start": 0.0, "stop": 1.0}, "grid.t")
     with pytest.raises(ConfigError):
         cli.build_axis([2.0, 1.0], "grid.lambda")
+    with pytest.raises(ConfigError, match="grid.t.stpe"):
+        cli.build_axis({"start": 0.0, "stop": 1.0, "stpe": 0.25}, "grid.t")
+    with pytest.raises(ConfigError, match="not both"):
+        cli.build_axis({"start": 0.0, "stop": 1.0, "step": 0.25, "num": 3}, "grid.t")
 
 
 @pytest.mark.parametrize("change, key", [
@@ -331,12 +346,34 @@ def test_build_axis_specs():
       "classify": {"sizes": [100, 200, 400], "lambdas": [0.1]}}, "classify.lambdas"),
     ({"model": {"name": "tim1d"}, "classify": {"sizes": [400, 200, 100], "lambdas": [0.9]}},
      "classify.sizes"),
+    ({"model": {"name": "two_level", "gap": math.nan}}, "model.gap"),
+    ({"model": {"name": "two_level", "gap": math.inf}}, "model.gap"),
+    ({"detect": {"jumps": "Cv", "jump_threshold": math.inf}}, "detect.jump_threshold"),
+    ({"model": {"name": "tim1d", "coupling_j": -1}}, "model"),
+    ({"model": {"name": "tim1d"}, "classify": {"sizes": [100, 200, 400], "lambdas": [math.inf]}},
+     "classify.lambdas"),
 ])
 def test_scan_rejects_bad_value_before_output(tmp_path, capsys, change, key):
     cfg = dict(minimal_config(tmp_path), **change)
     assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 2
     assert f"{key}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_boundary_rejects_unknown_key(tmp_path, capsys):
+    t_axis = np.linspace(1.0, 2.0, 11)
+    grid = scan.ScanGrid(np.array([0.0]), t_axis, delta_t=0.01)
+    cli.write_field_csv(str(tmp_path / "field.csv"),
+                        scan.ScanField("x", grid, t_axis[np.newaxis, :] ** 2))
+    boundary_cfg = {
+        "field_file": str(tmp_path / "field.csv"),
+        "mode": "jumps",
+        "jump_treshold": 5.0,
+        "output": str(tmp_path / "jumps.csv"),
+    }
+    assert cli.main(["boundary", write_config(tmp_path, boundary_cfg, "b.json")]) == 2
+    assert "jump_treshold:" in capsys.readouterr().err
+    assert not (tmp_path / "jumps.csv").exists()
 
 
 def test_boundary_rejects_non_positive_threshold(tmp_path, capsys):

@@ -11,16 +11,12 @@ from thermofid import core, lmg
 from thermofid.errors import DomainError
 from thermofid.lmg import (
     Lmg,
-    LmgParams,
     _full_levels,
     lmg_build_matrix,
-    lmg_full_log_z,
-    lmg_log_z,
     lmg_meanfield_critical_temperature,
     lmg_meanfield_free_energy,
     lmg_meanfield_residual,
     lmg_meanfield_solve,
-    lmg_sector_energies,
     log_sector_degeneracy,
 )
 
@@ -48,17 +44,27 @@ def brute_hamiltonian(n, gamma, lam):
     return h.real
 
 
+def sector_energies(n, gamma, lam):
+    """Sorted spectrum of the maximal sector S = N/2: the first N+1 of _full_levels."""
+    return np.sort(_full_levels(n, gamma, lam)[0][: n + 1])
+
+
 def test_params_validation():
+    with pytest.raises(DomainError) as info:
+        Lmg(1, 0.2)
+    assert info.value.key == "n_spins"
+    with pytest.raises(DomainError) as info:
+        Lmg(4, 1.2)
+    assert info.value.key == "gamma"
     with pytest.raises(DomainError):
-        LmgParams(1, 0.2, 0.0)
-    with pytest.raises(DomainError):
-        LmgParams(4, 1.2, 0.0)
-    with pytest.raises(DomainError):
-        LmgParams(4, 0.2, -0.1)
+        Lmg(4, math.nan)
+    for lam in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            Lmg(24, 0.2).log_z(1.0, lam)
 
 
 def test_matrix_is_banded_and_symmetric():
-    mat = lmg_build_matrix(LmgParams(6, 0.3, 0.4))
+    mat = lmg_build_matrix(6, 0.3, 0.4)
     assert np.array_equal(mat, mat.T)
     for i in range(7):
         for j in range(7):
@@ -68,7 +74,7 @@ def test_matrix_is_banded_and_symmetric():
 
 def test_matrix_entries_explicit():
     n, gamma, lam = 4, 0.3, 0.7
-    mat = lmg_build_matrix(LmgParams(n, gamma, lam))
+    mat = lmg_build_matrix(n, gamma, lam)
     s = n / 2.0
     c = s * (s + 1.0)
     for idx in range(n + 1):
@@ -84,7 +90,7 @@ def test_matrix_entries_explicit():
 
 
 def test_gamma_one_matrix_is_diagonal():
-    mat = lmg_build_matrix(LmgParams(5, 1.0, 0.3))
+    mat = lmg_build_matrix(5, 1.0, 0.3)
     assert np.abs(mat - np.diag(np.diag(mat))).max() == 0.0
 
 
@@ -98,24 +104,26 @@ def test_two_spin_sector_matches_tensor_oracle():
     basis = np.column_stack([down_down, sym, up_up])  # m = -1, 0, +1
     triplet = basis.T @ h @ basis
     oracle = np.sort(np.linalg.eigvalsh(triplet))
-    ours = lmg_sector_energies(LmgParams(2, gamma, lam))
+    ours = sector_energies(2, gamma, lam)
     assert np.allclose(ours, oracle, atol=1e-13)
-    z_oracle = float(logsumexp(-1.0 * oracle))
-    assert lmg_log_z(1.0, LmgParams(2, gamma, lam)) == pytest.approx(z_oracle, abs=1e-12)
+    # N = 2 is the triplet plus one singlet at E = (1 + gamma) / 2 (S^2 = 0)
+    z_oracle = float(logsumexp(-1.0 * np.append(oracle, 0.5 * (1.0 + gamma))))
+    assert Lmg(2, gamma).log_z(1.0, lam) == pytest.approx(z_oracle, abs=1e-12)
 
 
 def test_sector_spectrum_matches_dense_eigh():
-    params = LmgParams(30, 0.4, 0.6)
-    dense = np.sort(np.linalg.eigvalsh(lmg_build_matrix(params)))
-    assert np.allclose(lmg_sector_energies(params), dense, atol=1e-10)
+    dense = np.sort(np.linalg.eigvalsh(lmg_build_matrix(30, 0.4, 0.6)))
+    assert np.allclose(sector_energies(30, 0.4, 0.6), dense, atol=1e-10)
 
 
 def test_sector_log_z_ground_state_dominance():
     # polarized field: nondegenerate ground state (no parity doublet)
-    params = LmgParams(12, 0.2, 1.5)
-    energies = lmg_sector_energies(params)
+    energies = sector_energies(12, 0.2, 1.5)
     beta = 200.0
-    assert lmg_log_z(beta, params) / (-beta) == pytest.approx(energies.min(), abs=1e-3)
+    assert float(logsumexp(-beta * energies)) / (-beta) == pytest.approx(energies.min(),
+                                                                          abs=1e-3)
+    # the ground state lies in the maximal sector, so it dominates the full trace too
+    assert Lmg(12, 0.2).log_z(beta, 1.5) / (-beta) == pytest.approx(energies.min(), abs=1e-3)
 
 
 @pytest.mark.parametrize("n,gamma,lam,beta", [
@@ -125,7 +133,7 @@ def test_sector_log_z_ground_state_dominance():
 ])
 def test_full_trace_matches_brute_force(n, gamma, lam, beta):
     brute = float(logsumexp(-beta * np.linalg.eigvalsh(brute_hamiltonian(n, gamma, lam))))
-    assert lmg_full_log_z(beta, LmgParams(n, gamma, lam)) == pytest.approx(brute, abs=1e-10)
+    assert Lmg(n, gamma).log_z(beta, lam) == pytest.approx(brute, abs=1e-10)
 
 
 def test_degeneracies_sum_to_hilbert_dimension():
@@ -139,8 +147,8 @@ def test_degeneracies_sum_to_hilbert_dimension():
 
 
 def test_full_trace_exceeds_sector_trace():
-    params = LmgParams(20, 0.2, 0.5)
-    assert lmg_full_log_z(1.0, params) > lmg_log_z(1.0, params)
+    sector = float(logsumexp(-1.0 * sector_energies(20, 0.2, 0.5)))
+    assert Lmg(20, 0.2).log_z(1.0, 0.5) > sector
 
 
 def test_fidelity_two_evaluation_routes_agree():
@@ -178,10 +186,9 @@ def test_level_cutoff_exact_on_acceptance_columns(monkeypatch):
     t = np.round(np.arange(0.40, 1.15001, 0.01), 10)
     betas = np.concatenate([1.0 / (t - 0.001), 1.0 / t, 1.0 / (t + 0.001)])
     for lam in (0.2, 0.4, 0.6, 0.8):
-        params = LmgParams(800, 0.2, lam)
         energies, weights = _full_levels(800, 0.2, lam)
         full = [float(logsumexp(weights - b * energies)) for b in betas]
-        assert lmg_full_log_z(betas, params).tolist() == full
+        assert Lmg(800, 0.2).log_z(betas, lam).tolist() == full
 
     sizes = []
 
@@ -190,7 +197,7 @@ def test_level_cutoff_exact_on_acceptance_columns(monkeypatch):
         return logsumexp(x)
 
     monkeypatch.setattr(lmg, "logsumexp", recorder)
-    lmg_full_log_z(betas, LmgParams(800, 0.2, 0.8))
+    Lmg(800, 0.2).log_z(betas, 0.8)
     assert len(sizes) == betas.size
     assert max(sizes) < 0.25 * 401**2
 
@@ -327,8 +334,9 @@ def test_catalog_model_metadata():
     model = Lmg(64, 0.2)
     assert model.name == "lmg"
     assert model.size_hint == 64
+    energies, weights = _full_levels(64, 0.2, 0.5)
     assert model.log_z(1.0, 0.5) == pytest.approx(
-        lmg_full_log_z(1.0, LmgParams(64, 0.2, 0.5)), abs=1e-12
+        float(logsumexp(weights - energies)), abs=1e-12
     )
 
 

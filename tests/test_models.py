@@ -264,11 +264,25 @@ def test_dicke_convex_in_beta():
     assert core.log_z_convexity_defect(Dicke(n_atoms=40), betas, 1.2) >= -1e-8
 
 
+def test_tim_parameter_validation():
+    # J <= 0 has no panel count, and J = 0 a beta-independent lnZ
+    for value in (-1.0, 0.0, math.nan):
+        with pytest.raises(DomainError) as info:
+            Tim1D(coupling_j=value)
+        assert info.value.key == "coupling_j"
+
+
 def test_dicke_parameter_validation():
     with pytest.raises(DomainError):
         Dicke(omega=-1.0)
     with pytest.raises(DomainError):
         Dicke(n_atoms=0)
+    # with a non-finite frequency the peak search in log_z never ends
+    for key in ("omega", "omega0"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(DomainError) as info:
+                Dicke(**{key: value})
+            assert info.value.key == key
 
 
 # ---------------------------------------------------------------------------
