@@ -117,7 +117,8 @@ def build_model(cfg, path="model"):
     try:
         return cls(**params)
     except (DomainError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+        key = getattr(exc, "key", None)
+        raise ConfigError(f"{path}.{key}" if key else path, str(exc)) from exc
 
 
 def build_axis(spec, path):

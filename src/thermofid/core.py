@@ -159,7 +159,8 @@ def delta_beta(temperature, delta_t):
     return delta_t / (temperature * (temperature + delta_t))
 
 
-def _log_z(model, beta, lam):
+def log_z(model, beta, lam):
+    """model.log_z at a checked beta: NaN where non-finite, or EvaluationError for a float beta."""
     check_beta(beta)
     value = model.log_z(beta, lam)
     return nan_or_raise(value, ~np.isfinite(value), EvaluationError,
@@ -172,15 +173,26 @@ def _positive_step(name, value):
     return value
 
 
-def _second_difference(g, lo, mid, hi, context):
-    """g(lo) + g(hi) - 2 g(mid), the one stencil behind every response field.
+def evaluate(model, stencil, lnz=None):
+    """A field from its stencil (points, combine): combine(*lnZ at each (beta, lam) of points).
+
+    Each field function below is this on its *_stencil, which takes the
+    function's other arguments. lnz, when given, holds the lnZ values at
+    points already: a sweep column passes each field function its share.
+    """
+    points, combine = stencil
+    if lnz is None:
+        lnz = [log_z(model, beta, lam) for beta, lam in points]
+    return combine(*lnz)
+
+
+def _second_difference(a, b, c, context):
+    """a + b - 2c for a, b, c = g(lo), g(hi), g(mid): the one stencil behind every response field.
 
     A zero built from bitwise-identical terms is a legitimately flat result
     and passes through; any other difference below the noise floor
-    NOISE_FACTOR * eps * (|g(lo)| + |g(hi)| + |g(mid)|) is StepTooSmall,
-    under nan_or_raise.
+    NOISE_FACTOR * eps * (|a| + |b| + |c|) is StepTooSmall, under nan_or_raise.
     """
-    a, b, c = g(lo), g(hi), g(mid)
     diff = a + b - 2.0 * c
     floor = NOISE_FACTOR * sys.float_info.epsilon * (np.abs(a) + np.abs(b) + np.abs(c))
     flat = np.equal(diff, 0.0) & np.equal(a, b) & np.equal(b, c)
@@ -189,73 +201,90 @@ def _second_difference(g, lo, mid, hi, context):
                                 f"cancellation noise floor; increase the step")
 
 
+def _fidelity(z_mid, z0, z1):
+    # the symmetric combination keeps F(x0, x1) == F(x1, x0) bitwise
+    return np.exp(z_mid - 0.5 * (z0 + z1))
+
+
 def free_energy(model, point):
     """Free energy F = -lnZ(beta, lam) / beta."""
-    return -_log_z(model, point.beta, point.lam) / point.beta
+    return -log_z(model, point.beta, point.lam) / point.beta
 
 
-def log_fidelity_beta(model, beta0, beta1, lam):
-    """lnZ((b0+b1)/2) - lnZ(b0)/2 - lnZ(b1)/2: the log of the temperature fidelity."""
-    mid = 0.5 * (beta0 + beta1)
-    # the symmetric combination keeps F(b0, b1) == F(b1, b0) bitwise
-    return _log_z(model, mid, lam) - 0.5 * (
-        _log_z(model, beta0, lam) + _log_z(model, beta1, lam)
-    )
+def fidelity_beta_stencil(beta0, beta1, lam):
+    return (((0.5 * (beta0 + beta1), lam), (beta0, lam), (beta1, lam)), _fidelity)
 
 
-def fidelity_beta(model, beta0, beta1, lam):
+def fidelity_beta(model, beta0, beta1, lam, lnz=None):
     """Fidelity between thermal states at beta0 and beta1, same lam.
 
     Exactly 1 when beta0 == beta1; at most 1 whenever lnZ is convex in beta.
     """
-    return np.exp(log_fidelity_beta(model, beta0, beta1, lam))
+    return evaluate(model, fidelity_beta_stencil(beta0, beta1, lam), lnz)
 
 
-def specific_heat(model, point, delta_t):
-    """Central second difference of F in T: Cv = -T [F(T+h)+F(T-h)-2F(T)]/h^2, h = delta_t/2.
-
-    Converges to -T d2F/dT2 with O(delta_t^2) error at analytic points.
-    """
+def specific_heat_stencil(point, delta_t):
     t = point.temperature
     h = 0.5 * _positive_step("delta_t", delta_t)
     if np.any(t - h <= 0.0):
         raise DomainError(f"delta_t={delta_t} too large for T={np.min(t)}", key="delta_t")
-    diff = _second_difference(lambda b: -_log_z(model, b, point.lam) / b,
-                              1.0 / (t - h), point.beta, 1.0 / (t + h), "specific_heat")
-    return -t * diff / h**2
+    lo, hi = 1.0 / (t - h), 1.0 / (t + h)
+    return (((lo, point.lam), (hi, point.lam), (point.beta, point.lam)),
+            lambda a, b, c: -t * _second_difference(
+                -a / lo, -b / hi, -c / point.beta, "specific_heat") / h**2)
 
 
-def fidelity_susceptibility_beta(model, point, delta_t):
+def specific_heat(model, point, delta_t, lnz=None):
+    """Central second difference of F in T: Cv = -T [F(T+h)+F(T-h)-2F(T)]/h^2, h = delta_t/2.
+
+    Converges to -T d2F/dT2 with O(delta_t^2) error at analytic points.
+    """
+    return evaluate(model, specific_heat_stencil(point, delta_t), lnz)
+
+
+def fidelity_susceptibility_beta_stencil(point, delta_t):
+    beta1 = 1.0 / (point.temperature + _positive_step("delta_t", delta_t))
+    mid = 0.5 * (point.beta + beta1)
+    return (((beta1, point.lam), (point.beta, point.lam), (mid, point.lam)),
+            lambda *z: _second_difference(*z, "fidelity_susceptibility_beta")
+            / (point.beta - beta1)**2)
+
+
+def fidelity_susceptibility_beta(model, point, delta_t, lnz=None):
     """Perturbation-independent temperature fidelity susceptibility -2 lnF / dbeta^2.
 
     Approaches Cv / (4 beta^2) as delta_t -> 0.
     """
-    beta1 = 1.0 / (point.temperature + _positive_step("delta_t", delta_t))
-    diff = _second_difference(lambda b: _log_z(model, b, point.lam),
-                              beta1, 0.5 * (point.beta + beta1), point.beta,
-                              "fidelity_susceptibility_beta")
-    return diff / (point.beta - beta1)**2
+    return evaluate(model, fidelity_susceptibility_beta_stencil(point, delta_t), lnz)
 
 
-def susceptibility_lambda(model, point, delta_lambda):
+def susceptibility_lambda_stencil(point, delta_lambda):
+    points, _ = fidelity_susceptibility_lambda_stencil(point.beta, point.lam, delta_lambda)
+    return points, lambda *z: -_second_difference(
+        *[-x / point.beta for x in z], "susceptibility_lambda") / (0.5 * delta_lambda)**2
+
+
+def susceptibility_lambda(model, point, delta_lambda, lnz=None):
     """Susceptibility -d2F/dlam2 by central second difference with h = delta_lambda/2."""
+    return evaluate(model, susceptibility_lambda_stencil(point, delta_lambda), lnz)
+
+
+def fidelity_susceptibility_lambda_stencil(beta, lam, delta_lambda):
     h = 0.5 * _positive_step("delta_lambda", delta_lambda)
-    diff = _second_difference(lambda lam: -_log_z(model, point.beta, lam) / point.beta,
-                              point.lam - h, point.lam, point.lam + h,
-                              "susceptibility_lambda")
-    return -diff / h**2
+    return (((beta, lam - h), (beta, lam + h), (beta, lam)), lambda *z: _second_difference(
+        *z, "fidelity_susceptibility_lambda") / delta_lambda**2)
 
 
-def log_fidelity_lambda_approx(model, beta, lam0, lam1):
-    """Log of the commuting-approximation field fidelity Z(mid)/sqrt(Z0 Z1)."""
-    mid = 0.5 * (lam0 + lam1)
-    return _log_z(model, beta, mid) - 0.5 * (
-        _log_z(model, beta, lam0) + _log_z(model, beta, lam1)
-    )
+def fidelity_susceptibility_lambda(model, beta, lam, delta_lambda, lnz=None):
+    """Perturbation-independent field fidelity susceptibility -2 lnF / dlam^2.
+
+    Approaches beta * chi / 4 at high temperature.
+    """
+    return evaluate(model, fidelity_susceptibility_lambda_stencil(beta, lam, delta_lambda), lnz)
 
 
 def fidelity_lambda_approx(model, beta, lam0, lam1):
-    """Field fidelity in the commuting approximation.
+    """Field fidelity in the commuting approximation, Z(mid)/sqrt(Z0 Z1).
 
     Its error against the exact Uhlmann fidelity is, at leading order,
     (dlam^2/8)(I_BKM - I_SLD) with dlam = lam1 - lam0, the gap between the
@@ -263,18 +292,7 @@ def fidelity_lambda_approx(model, beta, lam0, lam1):
     gap is >= 0 and vanishes when [H, dH/dlam] = 0. The dense-matrix pipeline
     in thermofid.exact provides the exact value and the validity bound.
     """
-    return np.exp(log_fidelity_lambda_approx(model, beta, lam0, lam1))
-
-
-def fidelity_susceptibility_lambda(model, beta, lam, delta_lambda):
-    """Perturbation-independent field fidelity susceptibility -2 lnF / dlam^2.
-
-    Approaches beta * chi / 4 at high temperature.
-    """
-    h = 0.5 * _positive_step("delta_lambda", delta_lambda)
-    diff = _second_difference(lambda x: _log_z(model, beta, x), lam - h, lam, lam + h,
-                              "fidelity_susceptibility_lambda")
-    return diff / delta_lambda**2
+    return evaluate(model, (((beta, 0.5 * (lam0 + lam1)), (beta, lam0), (beta, lam1)), _fidelity))
 
 
 def log_z_convexity_defect(model, betas, lam):
@@ -293,6 +311,6 @@ def log_z_convexity_defect(model, betas, lam):
         raise DomainError("beta grid must be strictly increasing")
     if steps.max() - steps.min() > 1e-9 * steps.max():
         raise DomainError("beta grid must be uniform")
-    z = _log_z(model, betas, lam)
+    z = log_z(model, betas, lam)
     d2 = z[2:] + z[:-2] - 2.0 * z[1:-1]
     return float(np.min(d2 / np.maximum(np.abs(z[1:-1]), 1.0)))

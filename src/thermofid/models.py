@@ -24,6 +24,8 @@ LN2 = math.log(2.0)
 
 # a chain beta needing more trapezoid panels (T below about 8e-6 J) fails
 TIM_MAX_PANELS = 2**20
+# the chain's ln 2cosh arrays take about this many values per block of betas
+TIM_BLOCK = 2**14
 
 
 def log_2cosh(x):
@@ -43,7 +45,7 @@ def ising2d_k(beta, coupling_j):
     beta; K = 1 exactly when sinh(2 b J) = 1.
     """
     check_beta(beta)
-    if coupling_j <= 0.0:
+    if not coupling_j > 0.0:
         raise DomainError(f"coupling_j must be positive, got {coupling_j}")
     y = 2.0 * np.asarray(beta) * coupling_j
     e = np.exp(-y)
@@ -89,16 +91,19 @@ class Ising2D(ThermoModel):
         check_beta(beta)
         check_lambda(self, lam)
         # the integrand is symmetric under phi -> pi - phi: twice the [0, pi/2] rule
-        ks = np.multiply.outer(ising2d_k(beta, self.coupling_j), _ISING_SIN_PHI)
-        integrand = np.log(0.5 * (1.0 + np.sqrt(np.maximum(1.0 - ks * ks, 0.0))))
-        integral = np.sum(integrand * _ISING_WEIGHTS, axis=-1)
+        # ln[(1 + sqrt(max(1 - ks^2, 0))) / 2] * weights, in place on one array
+        x = np.multiply.outer(ising2d_k(beta, self.coupling_j), _ISING_SIN_PHI)
+        np.subtract(1.0, np.multiply(x, x, out=x), out=x)
+        np.sqrt(np.maximum(x, 0.0, out=x), out=x)
+        np.log(np.multiply(np.add(x, 1.0, out=x), 0.5, out=x), out=x)
+        integral = np.sum(np.multiply(x, _ISING_WEIGHTS, out=x), axis=-1)
         per_site = log_2cosh(2.0 * np.asarray(beta) * self.coupling_j) + integral / math.pi
         return self.n_sites * per_site
 
 
 def ising2d_critical_temperature(coupling_j=1.0):
     """Exact critical temperature 2J / ln(1 + sqrt 2), where K reaches 1."""
-    if coupling_j <= 0.0:
+    if not coupling_j > 0.0:
         raise DomainError(f"coupling_j must be positive, got {coupling_j}")
     return 2.0 * coupling_j / math.log(1.0 + math.sqrt(2.0))
 
@@ -137,13 +142,20 @@ class Tim1D(ThermoModel):
         # n per beta: at lam = 1 the integrand's nearest complex singularity
         # lies about pi T / 2 off the real axis, so n grows like beta J
         panels = np.maximum(64.0, 2.0 ** np.ceil(np.log2(8.0 * bj)))
-        per_site = np.full(bj.shape, math.nan)
+        per_site = np.full(bj.size, math.nan)
         # a set, not np.unique, whose first call imports numpy.ma
         for n in set(panels[panels <= TIM_MAX_PANELS].tolist()):
             k = np.linspace(0.0, math.pi, int(n) + 1)
             eps = np.sqrt(1.0 + lam * lam - 2.0 * lam * np.cos(k))
-            f = log_2cosh(np.multiply.outer(bj[panels == n], eps)) - LN2
-            per_site[panels == n] = LN2 + (f.sum(axis=-1) - 0.5 * (f[:, 0] + f[:, -1])) / n
+            rows = np.flatnonzero(panels == n)
+            step = max(1, TIM_BLOCK // int(n))
+            for block in (rows[i:i + step] for i in range(0, rows.size, step)):
+                # log_2cosh(x) - LN2 = |x| + log1p(e^-2|x|) - LN2, on two arrays
+                x = np.multiply.outer(bj.flat[block], eps)
+                f = np.multiply(np.abs(x, out=x), -2.0)
+                np.subtract(np.add(np.log1p(np.exp(f, out=f), out=f), x, out=f), LN2, out=f)
+                per_site[block] = LN2 + (f.sum(axis=-1) - 0.5 * (f[:, 0] + f[:, -1])) / n
+        per_site = per_site.reshape(bj.shape)
         return self.n_sites * nan_or_raise(
             per_site, np.isnan(per_site), QuadratureError,
             lambda: f"{self.name}: beta J = {bj} needs more than {TIM_MAX_PANELS} panels")
@@ -241,10 +253,10 @@ def _cutoff_radius(g, r_peak, g_peak, drop):
 
 def dicke_critical_temperature(lam, omega=1.0, omega0=1.0):
     """Superradiant critical temperature w0 / (2 w atanh(w0 / (w lam^2)))."""
-    if omega <= 0.0 or omega0 <= 0.0:
-        raise DomainError("omega and omega0 must be positive")
+    if not (0.0 < omega < math.inf and 0.0 < omega0 < math.inf):
+        raise DomainError("omega and omega0 must be positive and finite")
     arg = omega0 / (omega * lam * lam)
-    if arg >= 1.0:
+    if not arg < 1.0:
         raise DomainError(
             f"no transition: need omega*lam^2 > omega0 (got argument {arg})"
         )

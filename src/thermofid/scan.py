@@ -1,9 +1,10 @@
 """Grid sweeps over the control-parameter/temperature plane and line extraction.
 
-Lambda columns are the work items: a column is one core field-function call
-per requested field on the column's beta array, and a sweep maps columns
-over the lam axis, on a process pool with one column per task when there is
-more than one column to share.
+Lambda columns are the work items: a column makes one lnZ call per lam its
+fields' core stencils read, on the distinct betas of their points, and each
+field's core function combines its share. A sweep maps columns over the lam
+axis, on a process pool with one column per task when there is more than one
+column to share.
 The classifier's specific-heat columns come from the same function. Columns
 are assembled by lam index, so serial and parallel runs produce bit-identical
 fields. Cells whose evaluation fails are recorded as NaN and skipped by the
@@ -20,20 +21,18 @@ import numpy as np
 from . import core
 from .errors import DomainError, EvaluationError, InsufficientSizes
 
-# each field as one call on a column's ThermoPoint; core is read at call time.
-# F_beta's partner 1/(T + delta_t) starts from point.temperature, as
-# chi_beta's does, which can differ from the grid T in the last bit
-_FIELD_CALLS = {
-    "F_beta": lambda model, point, dt, dlam: core.fidelity_beta(
-        model, point.beta, 1.0 / (point.temperature + dt), point.lam),
-    "Cv": lambda model, point, dt, dlam: core.specific_heat(model, point, dt),
-    "chi": lambda model, point, dt, dlam: core.susceptibility_lambda(model, point, dlam),
-    "chi_beta": lambda model, point, dt, dlam: core.fidelity_susceptibility_beta(
-        model, point, dt),
-    "chi_lambda": lambda model, point, dt, dlam: core.fidelity_susceptibility_lambda(
-        model, point.beta, point.lam, dlam),
+# each field's core function, read at call time, and its arguments on a
+# column's ThermoPoint, which the function's core *_stencil takes too. F_beta's
+# partner 1/(T + delta_t) starts from point.temperature, as chi_beta's does,
+# which can differ from the grid T in the last bit: the two share their points
+_FIELDS = {
+    "F_beta": ("fidelity_beta", lambda p, dt, dlam: (p.beta, 1.0 / (p.temperature + dt), p.lam)),
+    "Cv": ("specific_heat", lambda p, dt, dlam: (p, dt)),
+    "chi": ("susceptibility_lambda", lambda p, dt, dlam: (p, dlam)),
+    "chi_beta": ("fidelity_susceptibility_beta", lambda p, dt, dlam: (p, dt)),
+    "chi_lambda": ("fidelity_susceptibility_lambda", lambda p, dt, dlam: (p.beta, p.lam, dlam)),
 }
-FIELD_NAMES = tuple(_FIELD_CALLS)
+FIELD_NAMES = tuple(_FIELDS)
 _CHI_FIELDS = ("chi", "chi_lambda")
 
 TYPE_A = "TypeA"
@@ -122,18 +121,30 @@ class CriticalLine:
 def _sweep_column(model, fields, lam, t_axis, delta_t, delta_lambda):
     """Every requested field at every T of one lam column, shape (len(fields), T).
 
-    Each field is one core call on the column's beta array. A cell whose
-    evaluation fails is NaN, and so is a field's whole column when an
-    EvaluationError concerns the whole lam; a DomainError propagates.
+    Each lam the fields' stencils read (lam, and lam -+ delta_lambda/2 for chi
+    and chi_lambda) takes one lnZ call on the distinct betas of their points,
+    and each field's core function combines its share. A cell whose evaluation
+    fails is NaN, and so is every field reading a lam whose EvaluationError
+    concerns the whole lam; a DomainError propagates.
     """
     point = core.ThermoPoint(1.0 / t_axis, lam)
-    values = np.empty((len(fields), t_axis.size))
-    for k, field in enumerate(fields):
+    calls = [(name, args(point, delta_t, delta_lambda)) for name, args in map(_FIELDS.get, fields)]
+    field_points = [getattr(core, f"{name}_stencil")(*args)[0] for name, args in calls]
+    betas = {}
+    for points in field_points:
+        for beta, at in points:
+            betas.setdefault(at, []).append(beta.tolist())
+    lnz = {}
+    for at, parts in betas.items():
+        # each beta once, by exact bits, with the index of its lnZ value
+        index = {b: i for i, b in enumerate(dict.fromkeys(b for part in parts for b in part))}
         try:
-            values[k] = _FIELD_CALLS[field](model, point, delta_t, delta_lambda)
+            values = core.log_z(model, np.fromiter(index, float, len(index)), at)
         except EvaluationError:
-            values[k] = math.nan
-    return values
+            values = np.full(len(index), math.nan)
+        lnz[at] = iter([values[[index[b] for b in part]] for part in parts])
+    return np.array([getattr(core, name)(model, *args, lnz=[next(lnz[at]) for _, at in points])
+                     for (name, args), points in zip(calls, field_points)])
 
 
 def check_fields(fields, grid):

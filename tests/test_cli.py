@@ -331,10 +331,10 @@ def test_build_axis_specs():
 
 
 @pytest.mark.parametrize("change, key", [
-    ({"model": {"name": "tim1d", "n_sites": -5}}, "model"),
-    ({"model": {"name": "lmg", "gamma": 1.5}}, "model"),
-    ({"model": {"name": "lmg", "n_spins": 1}}, "model"),
-    ({"model": {"name": "ising2d", "coupling_j": -1}}, "model"),
+    ({"model": {"name": "tim1d", "n_sites": -5}}, "model.n_sites"),
+    ({"model": {"name": "lmg", "gamma": 1.5}}, "model.gamma"),
+    ({"model": {"name": "lmg", "n_spins": 1}}, "model.n_spins"),
+    ({"model": {"name": "ising2d", "coupling_j": -1}}, "model.coupling_j"),
     ({"classify": {"sizes": [1, 2, 3], "lambdas": [0.0], "growth_factor": "big"}},
      "classify.growth_factor"),
     ({"detect": {"jumps": "Cv", "jump_treshold": 5.0}}, "detect.jump_treshold"),
@@ -349,7 +349,7 @@ def test_build_axis_specs():
     ({"model": {"name": "two_level", "gap": math.nan}}, "model.gap"),
     ({"model": {"name": "two_level", "gap": math.inf}}, "model.gap"),
     ({"detect": {"jumps": "Cv", "jump_threshold": math.inf}}, "detect.jump_threshold"),
-    ({"model": {"name": "tim1d", "coupling_j": -1}}, "model"),
+    ({"model": {"name": "tim1d", "coupling_j": -1}}, "model.coupling_j"),
     ({"model": {"name": "tim1d"}, "classify": {"sizes": [100, 200, 400], "lambdas": [math.inf]}},
      "classify.lambdas"),
 ])

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipk
 
-from thermofid import core
+from thermofid import core, models
 from thermofid.core import ThermoPoint
 from thermofid.errors import DomainError, QuadratureError
 from thermofid.exact import DenseModel, spin_chain_hamiltonian
@@ -95,6 +95,16 @@ def test_ising_extensive_exactly():
 def test_ising_critical_temperature():
     assert ising2d_critical_temperature() == pytest.approx(ISING_TC, abs=1e-14)
     assert ising2d_critical_temperature(2.0) == pytest.approx(2.0 * ISING_TC, abs=1e-13)
+
+
+def test_ising_critical_temperature_rejects_nan_coupling():
+    with pytest.raises(DomainError):
+        ising2d_critical_temperature(math.nan)
+
+
+def test_ising_k_rejects_nan_coupling():
+    with pytest.raises(DomainError):
+        ising2d_k(1.0, math.nan)
 
 
 def test_ising_convex_in_beta():
@@ -227,6 +237,14 @@ def test_dicke_critical_temperature_domain():
         dicke_critical_temperature(0.5)
 
 
+@pytest.mark.parametrize("args", [(1.5, math.nan, 1.0), (1.5, 1.0, math.nan),
+                                  (1.5, math.inf, 1.0), (math.nan, 1.0, 1.0)])
+def test_dicke_critical_temperature_rejects_nan(args):
+    # the model constructor's rule: frequencies positive and finite
+    with pytest.raises(DomainError):
+        dicke_critical_temperature(*args)
+
+
 def test_dicke_critical_temperature_monotone_in_coupling():
     lams = np.linspace(1.05, 4.0, 12)
     tcs = [dicke_critical_temperature(l) for l in lams]
@@ -328,6 +346,13 @@ def test_log_z_array_matches_float_calls_bitwise(model, lam):
     values = model.log_z(betas, lam)
     assert isinstance(values, np.ndarray) and values.shape == betas.shape
     assert values.tolist() == [model.log_z(float(b), lam) for b in betas]
+
+
+def test_tim_log_z_array_in_several_blocks_matches_float_calls_bitwise():
+    # 64-panel betas fill TIM_BLOCK // 64 rows per block: this array takes three
+    betas = 1.0 / np.linspace(2.0, 4.0, 2 * models.TIM_BLOCK // 64 + 7)
+    values = Tim1D(n_sites=2).log_z(betas, 0.7)
+    assert values.tolist() == [Tim1D(n_sites=2).log_z(float(b), 0.7) for b in betas]
 
 
 def test_log_z_array_is_nan_only_where_a_beta_fails():

@@ -1,6 +1,7 @@
 """Grid sweeps, line extraction, and transition classification."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -8,9 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermofid import core, scan
-from thermofid.errors import DomainError, EvaluationError, InsufficientSizes
+from thermofid.errors import DomainError, EvaluationError, InsufficientSizes, StepTooSmall
 from thermofid.models import Dicke, Ising2D, Tim1D, TwoLevel, TwoLevelField
 from thermofid.scan import (
     CROSSOVER,
@@ -74,6 +77,19 @@ def synthetic_field(lam_axis, t_axis, values):
     return ScanField("synthetic", grid, np.asarray(values, dtype=float))
 
 
+# each sweep field as its core field function at one cell
+SCALAR_FIELDS = {
+    "F_beta": lambda model, point, dt, dlam: core.fidelity_beta(
+        model, point.beta, 1.0 / (point.temperature + dt), point.lam),
+    "Cv": lambda model, point, dt, dlam: core.specific_heat(model, point, dt),
+    "chi": lambda model, point, dt, dlam: core.susceptibility_lambda(model, point, dlam),
+    "chi_beta": lambda model, point, dt, dlam: core.fidelity_susceptibility_beta(
+        model, point, dt),
+    "chi_lambda": lambda model, point, dt, dlam: core.fidelity_susceptibility_lambda(
+        model, point.beta, point.lam, dlam),
+}
+
+
 def test_grid_validation():
     with pytest.raises(DomainError):
         ScanGrid(np.array([0.0, 0.0]), np.array([1.0, 2.0]), delta_t=0.1)
@@ -126,16 +142,8 @@ def test_single_cell_sweep_matches_kernel_directly():
     ):
         grid = ScanGrid(np.array([lam]), np.array([1.25]), delta_t=0.01, delta_lambda=0.01)
         by = {f.name: f.values[0, 0] for f in sweep(model, grid, fields)}
-        beta = 1.0 / 1.25
-        point = core.ThermoPoint(beta, lam)
-        direct = {
-            "F_beta": lambda: core.fidelity_beta(model, beta, 1.0 / 1.26, lam),
-            "Cv": lambda: core.specific_heat(model, point, 0.01),
-            "chi": lambda: core.susceptibility_lambda(model, point, 0.01),
-            "chi_beta": lambda: core.fidelity_susceptibility_beta(model, point, 0.01),
-            "chi_lambda": lambda: core.fidelity_susceptibility_lambda(model, beta, lam, 0.01),
-        }
-        assert by == {name: direct[name]() for name in fields}
+        point = core.ThermoPoint(1.0 / 1.25, lam)
+        assert by == {name: SCALAR_FIELDS[name](model, point, 0.01, 0.01) for name in fields}
 
 
 def test_sweep_validates_requests():
@@ -150,29 +158,109 @@ def test_sweep_validates_requests():
 
 def test_sweep_shares_lnz_calls_within_a_cell():
     # F_beta and chi_beta share 1/(T + delta_t) and its midpoint bitwise, Cv
-    # shares beta: the 9 stencil evaluations of a cell land on 5 distinct lnZ
-    # points, also where 1/(1/T) != T
+    # shares beta: the 9 stencil points of a cell are 5 distinct betas, also
+    # where 1/(1/T) != T, and one lnZ call takes each of them once
     t_axis = np.linspace(0.5, 2.0, 61)
     assert any(1.0 / (1.0 / t) != t for t in t_axis)
     model = RecordingModel()
     grid = ScanGrid(np.array([0.0]), t_axis, delta_t=0.01)
     sweep(model, grid, ["F_beta", "Cv", "chi_beta"], threads=1)
-    betas = np.stack(model.betas)
-    assert betas.shape == (9, t_axis.size)
-    assert [len(set(cell)) for cell in betas.T] == [5] * t_axis.size
+    (betas,) = model.betas
+    beta = 1.0 / t_axis
+    t = 1.0 / beta
+    partner = 1.0 / (t + 0.01)
+    cells = np.stack([beta, partner, 0.5 * (beta + partner), 1.0 / (t - 0.005),
+                      1.0 / (t + 0.005)], axis=1)
+    assert [len(set(cell)) for cell in cells.tolist()] == [5] * t_axis.size
+    assert sorted(betas.tolist()) == sorted(set(cells.ravel().tolist()))
 
 
 def test_sweep_shares_lnz_calls_across_a_column():
-    # each lnZ call takes the column's whole beta array and so serves every
-    # cell of it: three calls each for F_beta, Cv and chi_beta per column,
-    # whatever the length of the T axis
+    # one lnZ call takes the column's distinct betas and serves every cell of
+    # it and every field reading lnZ at the column's lam, whatever the length
+    # of the T axis
     calls = []
     for size in (5, 401):
         model = CountingModel()
         grid = ScanGrid(np.array([0.0, 0.5]), np.linspace(1.5, 3.5, size), delta_t=0.01)
         sweep(model, grid, ["F_beta", "Cv", "chi_beta"], threads=1)
         calls.append(model.calls)
-    assert calls == [2 * 9, 2 * 9]
+    assert calls == [2 * 1, 2 * 1]
+
+
+class PairRecordingModel(TwoLevelField):
+    """Spin in a field that keeps every (beta, lam) its lnZ calls take."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "calls", [])
+
+    def log_z(self, beta, lam):
+        self.calls.append([(b, float(lam)) for b in np.atleast_1d(beta).tolist()])
+        return super().log_z(beta, lam)
+
+
+def test_sweep_evaluates_each_distinct_point_of_a_column_once():
+    # a T step of delta_t / 2 puts one row's Cv points on its neighbours' betas
+    lam_axis, t_axis = np.array([0.3, 0.7]), np.round(np.arange(0.5, 0.8, 0.005), 10)
+    swept, direct = PairRecordingModel(), PairRecordingModel()
+    grid = ScanGrid(lam_axis, t_axis, delta_t=0.01, delta_lambda=0.004)
+    sweep(swept, grid, scan.FIELD_NAMES, threads=1)
+    assert len(swept.calls) == 3 * lam_axis.size  # lam and lam -+ delta_lambda / 2
+    pairs = [pair for call in swept.calls for pair in call]
+    assert len(pairs) == len(set(pairs))
+    assert len(pairs) < 7 * lam_axis.size * t_axis.size
+    for lam in lam_axis:
+        for t in t_axis:
+            for field in SCALAR_FIELDS.values():
+                field(direct, core.ThermoPoint(1.0 / t, lam), 0.01, 0.004)
+    assert set(pairs) == {pair for call in direct.calls for pair in call}
+
+
+class LambdaFailingModel(TwoLevelField):
+    """Spin in a field whose lnZ fails for a whole lam above lam_fail, array calls too."""
+
+    lam_fail = 0.405
+
+    def log_z(self, beta, lam):
+        if lam > self.lam_fail:
+            raise EvaluationError(f"no spectrum at lam={lam}")
+        return super().log_z(beta, lam)
+
+
+def test_sweep_whole_lambda_failure_is_nan_in_the_fields_reading_it():
+    # lam = 0.4 + delta_lambda / 2 fails: only chi and chi_lambda read it
+    grid = ScanGrid(np.array([0.3, 0.4]), np.linspace(0.8, 1.6, 5), delta_t=0.01,
+                    delta_lambda=0.02)
+    by = {f.name: f.values for f in sweep(LambdaFailingModel(), grid, scan.FIELD_NAMES)}
+    for name, values in by.items():
+        assert np.isfinite(values[0]).all()
+        assert np.isnan(values[1]).all() == (name in ("chi", "chi_lambda"))
+        assert np.isfinite(values[1]).all() == (name not in ("chi", "chi_lambda"))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(model=st.sampled_from([TwoLevelField(), Tim1D(n_sites=3)]),
+       lams=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=2, unique=True),
+       start=st.floats(0.05, 2.0), size=st.integers(1, 6),
+       delta_t=st.floats(1e-6, 0.05), step=st.one_of(st.none(), st.floats(1e-4, 0.2)),
+       delta_lambda=st.floats(1e-7, 0.05),
+       fields=st.lists(st.sampled_from(scan.FIELD_NAMES), min_size=1, unique=True))
+def test_swept_cells_equal_the_scalar_field_functions(model, lams, start, size, delta_t, step,
+                                                      delta_lambda, fields):
+    # no step: the T step is delta_t / 2, where stencil points land on neighbouring rows
+    t_axis = start + delta_t + (0.5 * delta_t if step is None else step) * np.arange(size)
+    grid = ScanGrid(np.sort(lams), t_axis, delta_t=delta_t, delta_lambda=delta_lambda)
+    swept = sweep(model, grid, fields, threads=1)
+    for field in swept:
+        for j, lam in enumerate(grid.lambda_axis):
+            for i, t in enumerate(t_axis):
+                point = core.ThermoPoint(1.0 / t, lam)
+                try:
+                    expected = SCALAR_FIELDS[field.name](model, point, delta_t, delta_lambda)
+                except (EvaluationError, StepTooSmall):
+                    expected = math.nan
+                assert repr(float(field.values[j, i])) == repr(float(expected))
 
 
 def test_sweep_rejects_lambda_outside_model_domain():
@@ -212,13 +300,14 @@ def traced_span_names(tmp_path, body):
 
 def test_benchmark_tracer_sees_column_sweep(tmp_path):
     # bench/tracer.py wraps core's field functions and each model's log_z
-    # after import; a sweep must still go through the wrapped attributes
+    # after import; a sweep must still go through the wrapped attributes: one
+    # field-function call per field and one lnZ call for the column's lam
     names = traced_span_names(tmp_path, (
         "grid = scan.ScanGrid([0.0], [1.0, 1.5], delta_t=0.01)\n"
         "scan.sweep(models.TwoLevel(), grid, ['F_beta', 'Cv'], threads=1)"))
     assert names.count("core.specific_heat") == 1
     assert names.count("core.fidelity_beta") == 1
-    assert names.count("models.two_level.log_z") == 6
+    assert names.count("models.two_level.log_z") == 1
 
 
 def test_benchmark_tracer_sees_lmg_wrap_points(tmp_path):
@@ -227,7 +316,7 @@ def test_benchmark_tracer_sees_lmg_wrap_points(tmp_path):
     names = traced_span_names(tmp_path, (
         "grid = scan.ScanGrid([0.3], [1.0, 1.5], delta_t=0.01)\n"
         "scan.sweep(lmg.Lmg(20, 0.2), grid, ['Cv'], threads=1)"))
-    assert names.count("models.lmg.log_z") == 3
+    assert names.count("models.lmg.log_z") == 1
     assert names.count("lmg.eigh_tridiagonal") > 0
     assert names.count("lmg.logsumexp") == 6  # one per stencil beta
 
