@@ -121,13 +121,17 @@ def build_model(cfg, path="model"):
         raise ConfigError(f"{path}.{key}" if key else path, str(exc)) from exc
 
 
+def _numbers(values):
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+
 def build_axis(spec, path):
+    """The axis values of a list or a {start, stop, step|num} range; ScanGrid checks them."""
     if isinstance(spec, list):
-        if not spec or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in spec):
-            raise ConfigError(path, "must be a non-empty list of numbers")
-        values = np.asarray(spec, dtype=float)
-    elif isinstance(spec, dict):
+        if not _numbers(spec):
+            raise ConfigError(path, "must be a list of numbers")
+        return np.asarray(spec, dtype=float)
+    if isinstance(spec, dict):
         _check_keys(spec, ("start", "stop", "step", "num"), path)
         if "step" in spec and "num" in spec:
             raise ConfigError(path, "give 'step' or 'num', not both")
@@ -148,13 +152,8 @@ def build_axis(spec, path):
                 raise ConfigError(f"{path}.num", "must be >= 1")
         else:
             raise ConfigError(path, "needs either 'step' or 'num'")
-        values = np.linspace(start, stop, num)
-    else:
-        raise ConfigError(path, "must be a list or a range object")
-    try:
-        return scan.as_axis(values, path)
-    except DomainError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        return np.linspace(start, stop, num)
+    raise ConfigError(path, "must be a list or a range object")
 
 
 def build_grid(cfg, path="grid"):
@@ -182,8 +181,6 @@ def resolve_scan_config(cfg):
                       "classify", "output_dir", "threads", "failure_budget"), "")
     model = build_model(cfg.get("model", {}))
     fields = _require(cfg, "fields", list, "", default=["F_beta", "Cv"])
-    if not all(isinstance(f, str) for f in fields):
-        raise ConfigError("fields", "must be a list of field names")
 
     detect = _require(cfg, "detect", dict, "", default=None)
     if detect is None:
@@ -201,13 +198,11 @@ def resolve_scan_config(cfg):
     if classify is not None:
         _check_keys(classify, ("sizes", "lambdas"), "classify")
         sizes = _require(classify, "sizes", list, "classify")
-        if len(sizes) < 3 or not all(isinstance(n, int) and not isinstance(n, bool) and n > 0
-                                     for n in sizes):
-            raise ConfigError("classify.sizes", "must be a list of >= 3 positive integers")
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in sizes):
+            raise ConfigError("classify.sizes", "must be a list of integers")
         lambdas = _require(classify, "lambdas", list, "classify")
-        if not lambdas or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                  and math.isfinite(v) for v in lambdas):
-            raise ConfigError("classify.lambdas", "must be a non-empty list of finite numbers")
+        if not lambdas or not _numbers(lambdas):
+            raise ConfigError("classify.lambdas", "must be a non-empty list of numbers")
         classify = dict(classify, lambdas=[float(v) for v in lambdas])
         if type(model).size_field is None:
             raise ConfigError("classify", f"model {model.name!r} has no size parameter")
@@ -215,7 +210,9 @@ def resolve_scan_config(cfg):
     try:
         grid = build_grid(cfg)
         scan.check_request(model, grid, fields)
-        scan.check_jump_threshold(detect["jump_threshold"])
+        core.check_positive("jump_threshold", detect["jump_threshold"])
+        if detect.get("jumps") or classify is not None:
+            core.check_uniform(grid.t_axis, "t_axis")  # as locate_jumps and the classifier do
         if classify is not None:
             scan.check_classify(_size_family(model), classify["lambdas"], classify["sizes"])
     except DomainError as exc:
@@ -538,7 +535,7 @@ def cmd_boundary(config_path):
         raise ConfigError("output", "must be a non-empty string")
     threshold = _require(cfg, "jump_threshold", float, "", default=20.0)
     try:
-        scan.check_jump_threshold(threshold)
+        core.check_positive("jump_threshold", threshold)
     except DomainError as exc:
         raise ConfigError("jump_threshold", str(exc)) from exc
 

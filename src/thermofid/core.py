@@ -31,10 +31,22 @@ NOISE_FACTOR = 20.0
 LOG_DROP = 45.0
 
 
-def check_beta(beta):
-    """Raise DomainError unless beta, a float or an array, is positive and finite throughout."""
-    if not np.all((np.asarray(beta) > 0.0) & np.isfinite(beta)):
-        raise DomainError(f"beta must be positive and finite, got {beta}", key="beta")
+def check_positive(key, value):
+    """value, a float or an array, once positive and finite throughout, else DomainError(key)."""
+    if value is None or not np.all((np.asarray(value) > 0.0) & np.isfinite(value)):
+        raise DomainError(f"{key} must be positive and finite, got {value}", key=key)
+    return value
+
+
+def check_uniform(values, key, min_size=2):
+    """values as a float array once it holds at least min_size (>= 2) evenly increasing entries."""
+    axis = np.asarray(values, dtype=float)
+    steps = np.diff(axis)
+    if (axis.size < min_size or not np.all(steps > 0.0)
+            or steps.max() - steps.min() > 1e-9 * steps.max()):
+        raise DomainError(f"{key} must be uniformly spaced and increasing, with at least "
+                          f"{min_size} values", key=key)
+    return axis
 
 
 def nan_or_raise(values, failed, error, describe):
@@ -115,7 +127,9 @@ class ThermoModel(Protocol):
 
 
 def check_lambda(model, lam, key="lam"):
-    """Raise DomainError(key=key) unless lam lies in the model's lambda_domain."""
+    """Raise DomainError(key=key) unless lam is finite and lies in the model's lambda_domain."""
+    if not math.isfinite(lam):
+        raise DomainError(f"lam must be finite, got {lam}", key=key)
     lo, hi = getattr(model, "lambda_domain", ThermoModel.lambda_domain)
     if not lo <= lam <= hi:
         domain = f"lam = {lo:g}" if lo == hi else f"{lo:g} <= lam <= {hi:g}"
@@ -131,9 +145,8 @@ class ThermoPoint:
     lam: float
 
     def __post_init__(self):
-        check_beta(self.beta)
-        if not math.isfinite(self.lam):
-            raise DomainError(f"lam must be finite, got {self.lam}", key="lam")
+        check_positive("beta", self.beta)
+        check_lambda(ThermoModel, self.lam)  # the unbounded domain every model starts from
 
     @property
     def temperature(self) -> float:
@@ -161,16 +174,10 @@ def delta_beta(temperature, delta_t):
 
 def log_z(model, beta, lam):
     """model.log_z at a checked beta: NaN where non-finite, or EvaluationError for a float beta."""
-    check_beta(beta)
+    check_positive("beta", beta)
     value = model.log_z(beta, lam)
     return nan_or_raise(value, ~np.isfinite(value), EvaluationError,
                         lambda: f"{model.name}: non-finite lnZ at beta={beta}, lam={lam}")
-
-
-def _positive_step(name, value):
-    if not (value > 0.0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be positive, got {value}", key=name)
-    return value
 
 
 def evaluate(model, stencil, lnz=None):
@@ -225,7 +232,7 @@ def fidelity_beta(model, beta0, beta1, lam, lnz=None):
 
 def specific_heat_stencil(point, delta_t):
     t = point.temperature
-    h = 0.5 * _positive_step("delta_t", delta_t)
+    h = 0.5 * check_positive("delta_t", delta_t)
     if np.any(t - h <= 0.0):
         raise DomainError(f"delta_t={delta_t} too large for T={np.min(t)}", key="delta_t")
     lo, hi = 1.0 / (t - h), 1.0 / (t + h)
@@ -243,7 +250,7 @@ def specific_heat(model, point, delta_t, lnz=None):
 
 
 def fidelity_susceptibility_beta_stencil(point, delta_t):
-    beta1 = 1.0 / (point.temperature + _positive_step("delta_t", delta_t))
+    beta1 = 1.0 / (point.temperature + check_positive("delta_t", delta_t))
     mid = 0.5 * (point.beta + beta1)
     return (((beta1, point.lam), (point.beta, point.lam), (mid, point.lam)),
             lambda *z: _second_difference(*z, "fidelity_susceptibility_beta")
@@ -270,7 +277,7 @@ def susceptibility_lambda(model, point, delta_lambda, lnz=None):
 
 
 def fidelity_susceptibility_lambda_stencil(beta, lam, delta_lambda):
-    h = 0.5 * _positive_step("delta_lambda", delta_lambda)
+    h = 0.5 * check_positive("delta_lambda", delta_lambda)
     return (((beta, lam - h), (beta, lam + h), (beta, lam)), lambda *z: _second_difference(
         *z, "fidelity_susceptibility_lambda") / delta_lambda**2)
 
@@ -303,14 +310,7 @@ def log_z_convexity_defect(model, betas, lam):
     in turn guarantees fidelity_beta <= 1. It is NaN, certifying nothing, when
     an lnZ evaluation fails.
     """
-    betas = np.asarray(betas, dtype=float)
-    if betas.size < 3:
-        raise DomainError("need at least three beta values")
-    steps = np.diff(betas)
-    if np.any(steps <= 0):
-        raise DomainError("beta grid must be strictly increasing")
-    if steps.max() - steps.min() > 1e-9 * steps.max():
-        raise DomainError("beta grid must be uniform")
+    betas = check_uniform(betas, "betas", min_size=3)
     z = log_z(model, betas, lam)
     d2 = z[2:] + z[:-2] - 2.0 * z[1:-1]
     return float(np.min(d2 / np.maximum(np.abs(z[1:-1]), 1.0)))

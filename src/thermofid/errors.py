@@ -44,7 +44,7 @@ class SolverError(ThermofidError):
     """Root finding failed despite an apparently valid bracket."""
 
 
-class InsufficientSizes(ThermofidError, ValueError):
+class InsufficientSizes(DomainError):
     """Transition classification needs at least three system sizes."""
 
 

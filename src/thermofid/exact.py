@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ThermoModel, check_beta
+from .core import ThermoModel, check_positive
 from .errors import DomainError, EigensolverError, NegativeEigenvalue
 
 MAX_DIM = 256
@@ -59,7 +59,7 @@ def gibbs_state(h, beta):
     rounding in the final division.
     """
     h = _check_hamiltonian(h)
-    check_beta(beta)
+    check_positive("beta", beta)
     w, v = _eigh(h, "gibbs_state")
     weights = np.exp(-beta * (w - w.min()))
     rho = (v * weights) @ v.conj().T
@@ -116,7 +116,7 @@ def trotter_bound(h0, h1, beta):
     """
     h0 = _check_hamiltonian(h0, "h0")
     h1 = _check_hamiltonian(h1, "h1")
-    check_beta(beta)
+    check_positive("beta", beta)
     c = _commutator(h0, h1)
     d2 = (spectral_norm(_commutator(c, h1)) + 0.5 * spectral_norm(_commutator(c, h0))) / 12.0
     return beta**3 * d2 * math.exp(beta * (spectral_norm(h0) + spectral_norm(h1)))
@@ -130,7 +130,7 @@ def kubo_mori_metric(h, v, beta):
     """
     h = _check_hamiltonian(h, "h")
     v = _check_hamiltonian(v, "v")
-    check_beta(beta)
+    check_positive("beta", beta)
     w, vecs = _eigh(h, "kubo_mori_metric")
     p = np.exp(-beta * (w - w.min()))
     p /= p.sum()
@@ -204,7 +204,7 @@ class DenseModel(ThermoModel):
         return self.label
 
     def log_z(self, beta, lam):
-        check_beta(beta)
+        check_positive("beta", beta)
         h = _check_hamiltonian(self.builder(lam), self.label)
         try:
             w = np.linalg.eigvalsh(h)

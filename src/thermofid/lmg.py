@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import LOG_DROP, ThermoModel, bind_once, check_beta, per_beta
+from .core import LOG_DROP, ThermoModel, bind_once, check_lambda, check_positive, per_beta
 from .errors import DomainError, EigensolverError, SolverError
 
 MEANFIELD_XTOL = 1e-12
@@ -152,9 +152,8 @@ class Lmg(ThermoModel):
         the n dropped terms move lnZ by at most n e^-45, 4.7e-15 at N = 800,
         under 1/20 ulp of lnZ >= N ln 2 = 554 (Tr H = 0).
         """
-        check_beta(beta)
-        if not math.isfinite(lam):
-            raise DomainError(f"lam must be finite, got {lam}", key="lam")
+        check_positive("beta", beta)
+        check_lambda(self, lam)
         # even in the field (a pi rotation about x flips its sign), so the
         # central susceptibility stencil works at lam = 0
         energies, weights = _full_levels(self.n_spins, self.gamma, abs(lam))
@@ -187,7 +186,7 @@ def lmg_meanfield_residual(m_x, m_y, beta, lam, gamma):
     t = tanh(beta u)/u with u = sqrt(lam^2 + m_x^2 + gamma^2 m_y^2); the
     u -> 0 limit of t is beta.
     """
-    check_beta(beta)
+    check_positive("beta", beta)
     u = math.sqrt(lam * lam + m_x * m_x + gamma * gamma * m_y * m_y)
     t = beta if u == 0.0 else math.tanh(beta * u) / u
     return (m_x - t * m_x, m_y - t * gamma * m_y)
@@ -209,7 +208,7 @@ def lmg_meanfield_solve(beta, lam, gamma):
     trivial solution is returned. The branch is picked by free-energy
     comparison.
     """
-    check_beta(beta)
+    check_positive("beta", beta)
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise DomainError(f"lam must be >= 0 and finite, got {lam}")
     if not 0.0 <= gamma < 1.0:

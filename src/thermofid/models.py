@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (LOG_DROP, ThermoModel, bind_once, check_beta, check_lambda, nan_or_raise,
+from .core import (LOG_DROP, ThermoModel, bind_once, check_lambda, check_positive, nan_or_raise,
                    per_beta)
 from .errors import CutoffError, DomainError, QuadratureError
 from .quadrature import adaptive_simpson, composite_simpson
@@ -44,9 +44,8 @@ def ising2d_k(beta, coupling_j):
     Written as 2 tanh(y) sech(y) with y = 2 b J so it stays finite for any
     beta; K = 1 exactly when sinh(2 b J) = 1.
     """
-    check_beta(beta)
-    if not coupling_j > 0.0:
-        raise DomainError(f"coupling_j must be positive, got {coupling_j}")
+    check_positive("beta", beta)
+    check_positive("coupling_j", coupling_j)
     y = 2.0 * np.asarray(beta) * coupling_j
     e = np.exp(-y)
     sech = 2.0 * e / (1.0 + e * e)
@@ -83,12 +82,10 @@ class Ising2D(ThermoModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.coupling_j > 0.0:
-            raise DomainError(f"coupling_j must be positive, got {self.coupling_j}",
-                              key="coupling_j")
+        check_positive("coupling_j", self.coupling_j)
 
     def log_z(self, beta, lam):
-        check_beta(beta)
+        check_positive("beta", beta)
         check_lambda(self, lam)
         # the integrand is symmetric under phi -> pi - phi: twice the [0, pi/2] rule
         # ln[(1 + sqrt(max(1 - ks^2, 0))) / 2] * weights, in place on one array
@@ -103,8 +100,7 @@ class Ising2D(ThermoModel):
 
 def ising2d_critical_temperature(coupling_j=1.0):
     """Exact critical temperature 2J / ln(1 + sqrt 2), where K reaches 1."""
-    if not coupling_j > 0.0:
-        raise DomainError(f"coupling_j must be positive, got {coupling_j}")
+    check_positive("coupling_j", coupling_j)
     return 2.0 * coupling_j / math.log(1.0 + math.sqrt(2.0))
 
 
@@ -128,12 +124,11 @@ class Tim1D(ThermoModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.coupling_j > 0.0:
-            raise DomainError(f"coupling_j must be positive, got {self.coupling_j}",
-                              key="coupling_j")
+        check_positive("coupling_j", self.coupling_j)
 
     def log_z(self, beta, lam):
-        check_beta(beta)
+        check_positive("beta", beta)
+        check_lambda(self, lam)
         # even in the field (a pi rotation about z flips its sign), so the
         # central susceptibility stencil works at lam = 0
         lam = abs(lam)
@@ -185,9 +180,7 @@ class Dicke(ThermoModel):
     def __post_init__(self):
         super().__post_init__()
         for key in ("omega", "omega0"):
-            value = getattr(self, key)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(f"{key} must be positive and finite, got {value}", key=key)
+            check_positive(key, getattr(self, key))
         bind_once(globals(), "scipy.optimize", "minimize_scalar")
 
     def _log_integrand(self, r, beta, lam):
@@ -198,7 +191,7 @@ class Dicke(ThermoModel):
             return np.log(2.0 * r) - beta * r * r + self.n_atoms * log_2cosh(x)
 
     def log_z(self, beta, lam):
-        check_beta(beta)
+        check_positive("beta", beta)
         return per_beta(lambda b: self._log_z_at(b, lam), beta)
 
     def _log_z_at(self, beta, lam):
@@ -253,14 +246,12 @@ def _cutoff_radius(g, r_peak, g_peak, drop):
 
 def dicke_critical_temperature(lam, omega=1.0, omega0=1.0):
     """Superradiant critical temperature w0 / (2 w atanh(w0 / (w lam^2)))."""
-    if not (0.0 < omega < math.inf and 0.0 < omega0 < math.inf):
-        raise DomainError("omega and omega0 must be positive and finite")
-    arg = omega0 / (omega * lam * lam)
-    if not arg < 1.0:
-        raise DomainError(
-            f"no transition: need omega*lam^2 > omega0 (got argument {arg})"
-        )
-    return omega0 / (2.0 * omega * math.atanh(arg))
+    check_positive("omega", omega)
+    check_positive("omega0", omega0)
+    if not omega0 < omega * lam * lam < math.inf:
+        raise DomainError(f"no transition at finite T: need omega0 < omega*lam^2 < inf, "
+                          f"got lam = {lam}", key="lam")
+    return omega0 / (2.0 * omega * math.atanh(omega0 / (omega * lam * lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +272,7 @@ class TwoLevel(ThermoModel):
     name: ClassVar[str] = "two_level"
 
     def log_z(self, beta, lam):
-        check_beta(beta)
+        check_positive("beta", beta)
         return log_2cosh(np.asarray(beta) * self.gap)
 
 
@@ -292,5 +283,6 @@ class TwoLevelField(ThermoModel):
     name: ClassVar[str] = "two_level_field"
 
     def log_z(self, beta, lam):
-        check_beta(beta)
+        check_positive("beta", beta)
+        check_lambda(self, lam)
         return log_2cosh(np.asarray(beta) * lam)

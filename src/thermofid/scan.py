@@ -24,16 +24,17 @@ from .errors import DomainError, EvaluationError, InsufficientSizes
 # each field's core function, read at call time, and its arguments on a
 # column's ThermoPoint, which the function's core *_stencil takes too. F_beta's
 # partner 1/(T + delta_t) starts from point.temperature, as chi_beta's does,
-# which can differ from the grid T in the last bit: the two share their points
+# which can differ from the grid T in the last bit: the two share their points.
+# It is formed here, so its delta_t is checked here, as its stencil would
 _FIELDS = {
-    "F_beta": ("fidelity_beta", lambda p, dt, dlam: (p.beta, 1.0 / (p.temperature + dt), p.lam)),
+    "F_beta": ("fidelity_beta", lambda p, dt, dlam: (
+        p.beta, 1.0 / (p.temperature + core.check_positive("delta_t", dt)), p.lam)),
     "Cv": ("specific_heat", lambda p, dt, dlam: (p, dt)),
     "chi": ("susceptibility_lambda", lambda p, dt, dlam: (p, dlam)),
     "chi_beta": ("fidelity_susceptibility_beta", lambda p, dt, dlam: (p, dt)),
     "chi_lambda": ("fidelity_susceptibility_lambda", lambda p, dt, dlam: (p.beta, p.lam, dlam)),
 }
 FIELD_NAMES = tuple(_FIELDS)
-_CHI_FIELDS = ("chi", "chi_lambda")
 
 TYPE_A = "TypeA"
 TYPE_B = "TypeB"
@@ -64,7 +65,7 @@ class ScanGrid:
     """Rectangular lam-T grid plus the perturbations used on it.
 
     delta_t may be None only for axes-only grids reconstructed from files;
-    sweeping such a grid is an error.
+    sweeping such a grid for a field that steps in T is an error.
     """
 
     lambda_axis: np.ndarray
@@ -76,9 +77,8 @@ class ScanGrid:
         object.__setattr__(self, "lambda_axis", as_axis(self.lambda_axis, "lambda_axis"))
         object.__setattr__(self, "t_axis", as_axis(self.t_axis, "t_axis"))
         for key in ("delta_t", "delta_lambda"):
-            step = getattr(self, key)
-            if step is not None and not step > 0.0:
-                raise DomainError(f"{key} must be positive, got {step}", key=key)
+            if getattr(self, key) is not None:
+                core.check_positive(key, getattr(self, key))
         t_floor = 0.0 if self.delta_t is None else 0.5 * self.delta_t
         if self.t_axis[0] <= t_floor:
             raise DomainError(f"every T must exceed max(0, delta_t / 2) = {t_floor}, "
@@ -118,6 +118,13 @@ class CriticalLine:
     classification: str = UNDETERMINED
 
 
+def _stencils(fields, lam, t_axis, delta_t, delta_lambda):
+    """(core function name, its arguments, its stencil's (beta, lam) points) for each field."""
+    point = core.ThermoPoint(1.0 / t_axis, lam)
+    calls = [(name, args(point, delta_t, delta_lambda)) for name, args in map(_FIELDS.get, fields)]
+    return [(name, args, getattr(core, f"{name}_stencil")(*args)[0]) for name, args in calls]
+
+
 def _sweep_column(model, fields, lam, t_axis, delta_t, delta_lambda):
     """Every requested field at every T of one lam column, shape (len(fields), T).
 
@@ -127,11 +134,9 @@ def _sweep_column(model, fields, lam, t_axis, delta_t, delta_lambda):
     fails is NaN, and so is every field reading a lam whose EvaluationError
     concerns the whole lam; a DomainError propagates.
     """
-    point = core.ThermoPoint(1.0 / t_axis, lam)
-    calls = [(name, args(point, delta_t, delta_lambda)) for name, args in map(_FIELDS.get, fields)]
-    field_points = [getattr(core, f"{name}_stencil")(*args)[0] for name, args in calls]
+    stencils = _stencils(fields, lam, t_axis, delta_t, delta_lambda)
     betas = {}
-    for points in field_points:
+    for _, _, points in stencils:
         for beta, at in points:
             betas.setdefault(at, []).append(beta.tolist())
     lnz = {}
@@ -144,36 +149,34 @@ def _sweep_column(model, fields, lam, t_axis, delta_t, delta_lambda):
             values = np.full(len(index), math.nan)
         lnz[at] = iter([values[[index[b] for b in part]] for part in parts])
     return np.array([getattr(core, name)(model, *args, lnz=[next(lnz[at]) for _, at in points])
-                     for (name, args), points in zip(calls, field_points)])
+                     for name, args, points in stencils])
 
 
-def check_fields(fields, grid):
-    """Raise DomainError, keyed by the parameter at fault, unless grid can produce fields."""
+def check_request(model, grid, fields):
+    """Raise DomainError, keyed by the parameter at fault, unless a sweep can produce fields.
+
+    The fields' stencils are built on the first and last lam column, as the
+    sweep builds them, so a missing or bad step is keyed by its stencil. The
+    lam they read must lie in the model's lambda_domain, an interval, so the
+    two end columns bound every column: a grid lam outside it is keyed
+    lambda_axis, and a stencil's lam -+ delta_lambda/2 outside it delta_lambda.
+    """
     if not fields:
         raise DomainError("no fields requested", key="fields")
     for field in fields:
         if field not in FIELD_NAMES:
             raise DomainError(f"unknown field {field!r}; choose from {FIELD_NAMES}",
                               key="fields")
-    if grid.delta_t is None:
-        raise DomainError("grid has no delta_t; it cannot be swept", key="delta_t")
-    if grid.delta_lambda is None and any(f in _CHI_FIELDS for f in fields):
-        raise DomainError(f"{' and '.join(_CHI_FIELDS)} need delta_lambda", key="delta_lambda")
-
-
-def check_request(model, grid, fields):
-    """check_fields, then DomainError unless every lam a sweep evaluates is in model's domain.
-
-    A grid lam outside it is keyed lambda_axis; a lam -+ delta_lambda/2 point
-    of the chi stencils outside it is keyed delta_lambda.
-    """
-    check_fields(fields, grid)
-    for lam in grid.lambda_axis:
+    # lam does not depend on T, and t_axis[0] is the lowest T a stencil steps from
+    ends = dict.fromkeys((grid.lambda_axis[0], grid.lambda_axis[-1]))  # once for one column
+    read = [at for lam in ends
+            for _, _, points in _stencils(fields, lam, grid.t_axis[:1], grid.delta_t,
+                                          grid.delta_lambda)
+            for _, at in points]
+    for lam in ends:
         core.check_lambda(model, lam, key="lambda_axis")
-    if any(f in _CHI_FIELDS for f in fields):
-        h = 0.5 * grid.delta_lambda
-        for lam in (grid.lambda_axis[0] - h, grid.lambda_axis[-1] + h):
-            core.check_lambda(model, lam, key="delta_lambda")
+    for lam in read:
+        core.check_lambda(model, lam, key="delta_lambda")
 
 
 def sweep(model, grid, fields, threads=1):
@@ -236,21 +239,6 @@ def locate_minima(field):
     return CriticalLine(tuple(points), "minimum")
 
 
-def _require_uniform(axis, key):
-    if axis.size < 2:
-        raise DomainError(f"{key} needs at least two points")
-    d = np.diff(axis)
-    if d.max() - d.min() > 1e-9 * d.max():
-        raise DomainError(f"{key} must be uniformly spaced")
-
-
-def check_jump_threshold(jump_threshold):
-    """Raise DomainError(key="jump_threshold") unless jump_threshold is positive."""
-    if not jump_threshold > 0.0:
-        raise DomainError(f"jump_threshold must be positive, got {jump_threshold}",
-                          key="jump_threshold")
-
-
 def locate_jumps(field, jump_threshold=20.0):
     """Flag discrete T-derivatives exceeding jump_threshold times the column median.
 
@@ -261,9 +249,8 @@ def locate_jumps(field, jump_threshold=20.0):
     rounded discontinuities spread over several cells. An empty line is a
     valid result for smooth fields.
     """
-    check_jump_threshold(jump_threshold)
-    t = field.grid.t_axis
-    _require_uniform(t, "t_axis")
+    core.check_positive("jump_threshold", jump_threshold)
+    t = core.check_uniform(field.grid.t_axis, "t_axis")
     points = []
     for j, lam in enumerate(field.grid.lambda_axis):
         col = field.values[j]
@@ -326,13 +313,14 @@ def _monotone_increasing(values, slack=0.0):
 def check_classify(model_family, lambdas, sizes):
     """[model_family(n) for n in sizes], once classify_transition can use them at lambdas.
 
-    Fewer than three sizes raise InsufficientSizes. Sizes that are not
-    strictly increasing, or that the model rejects, raise DomainError keyed
-    "sizes"; a lam outside the model's lambda_domain raises one keyed "lambdas".
+    Fewer than three sizes raise InsufficientSizes, a DomainError. It and the
+    DomainError for sizes that are not strictly increasing, or that the model
+    rejects, are keyed "sizes"; a lam that is not finite or lies outside the
+    model's lambda_domain raises one keyed "lambdas".
     """
     sizes = list(sizes)
     if len(sizes) < 3:
-        raise InsufficientSizes(f"need at least 3 sizes, got {len(sizes)}")
+        raise InsufficientSizes(f"need at least 3 sizes, got {len(sizes)}", key="sizes")
     if any(sizes[i + 1] <= sizes[i] for i in range(len(sizes) - 1)):
         raise DomainError(f"sizes must be strictly increasing, got {sizes}", key="sizes")
     try:
@@ -362,8 +350,7 @@ def classify_transition(model_family, lam, sizes, t_axis, delta_t):
         discontinuity).
     """
     family = check_classify(model_family, [lam], sizes)
-    t_axis = as_axis(t_axis, "t_axis")
-    _require_uniform(t_axis, "t_axis")
+    t_axis = core.check_uniform(as_axis(t_axis, "t_axis"), "t_axis")
 
     columns = [_cv_column(model, lam, t_axis, delta_t) for model in family]
     if any(np.isnan(col).all() for col in columns):

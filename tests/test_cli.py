@@ -322,8 +322,6 @@ def test_build_axis_specs():
         cli.build_axis({"start": 0.0, "stop": 1.0, "step": 0.3}, "grid.t")
     with pytest.raises(ConfigError):
         cli.build_axis({"start": 0.0, "stop": 1.0}, "grid.t")
-    with pytest.raises(ConfigError):
-        cli.build_axis([2.0, 1.0], "grid.lambda")
     with pytest.raises(ConfigError, match="grid.t.stpe"):
         cli.build_axis({"start": 0.0, "stop": 1.0, "stpe": 0.25}, "grid.t")
     with pytest.raises(ConfigError, match="not both"):
@@ -352,6 +350,16 @@ def test_build_axis_specs():
     ({"model": {"name": "tim1d", "coupling_j": -1}}, "model.coupling_j"),
     ({"model": {"name": "tim1d"}, "classify": {"sizes": [100, 200, 400], "lambdas": [math.inf]}},
      "classify.lambdas"),
+    ({"grid": {"lambda": [0.3, 0.1], "t": [1.0, 1.5]}}, "grid.lambda"),
+    ({"model": {"name": "tim1d"}, "classify": {"sizes": [100, 200], "lambdas": [0.9]}},
+     "classify.sizes"),
+    ({"model": {"name": "tim1d"}, "classify": {"sizes": [0, 1, 2], "lambdas": [0.9]}},
+     "classify.sizes"),
+    ({"fields": [3]}, "fields"),
+    ({"grid": {"lambda": [0.0], "t": [0.5, 0.6, 0.8, 1.1]}}, "grid.t"),
+    ({"grid": {"lambda": [0.0], "t": [0.5, 0.6, 0.8, 1.1]}, "fields": ["F_beta"],
+      "detect": {"minima": "F_beta"}, "classify": {"sizes": [4, 8, 16], "lambdas": [0.0]},
+      "model": {"name": "tim1d"}}, "grid.t"),
 ])
 def test_scan_rejects_bad_value_before_output(tmp_path, capsys, change, key):
     cfg = dict(minimal_config(tmp_path), **change)

@@ -59,8 +59,9 @@ def test_params_validation():
     with pytest.raises(DomainError):
         Lmg(4, math.nan)
     for lam in (math.inf, math.nan):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="lam must be finite") as info:
             Lmg(24, 0.2).log_z(1.0, lam)
+        assert info.value.key == "lam"
 
 
 def test_matrix_is_banded_and_symmetric():

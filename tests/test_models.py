@@ -231,10 +231,9 @@ def test_dicke_critical_temperature_values():
 
 
 def test_dicke_critical_temperature_domain():
-    with pytest.raises(DomainError):
-        dicke_critical_temperature(1.0)
-    with pytest.raises(DomainError):
-        dicke_critical_temperature(0.5)
+    for lam in (1.0, 0.5, 0.0):
+        with pytest.raises(DomainError):
+            dicke_critical_temperature(lam)
 
 
 @pytest.mark.parametrize("args", [(1.5, math.nan, 1.0), (1.5, 1.0, math.nan),
@@ -283,11 +282,17 @@ def test_dicke_convex_in_beta():
 
 
 def test_tim_parameter_validation():
-    # J <= 0 has no panel count, and J = 0 a beta-independent lnZ
-    for value in (-1.0, 0.0, math.nan):
-        with pytest.raises(DomainError) as info:
-            Tim1D(coupling_j=value)
-        assert info.value.key == "coupling_j"
+    # J <= 0 has no panel count, and J = 0 a beta-independent lnZ; the same
+    # positive and finite J is what Ising2D needs
+    for cls in (Tim1D, Ising2D):
+        for value in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(DomainError) as info:
+                cls(coupling_j=value)
+            assert info.value.key == "coupling_j"
+        for lam in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="lam must be finite") as info:
+                cls().log_z(1.0, lam)
+            assert info.value.key == "lam"
 
 
 def test_dicke_parameter_validation():
@@ -317,6 +322,9 @@ def test_two_level_field_uses_lam_as_gap():
     m = TwoLevelField()
     assert m.log_z(2.0, 0.7) == pytest.approx(math.log(2 * math.cosh(1.4)), rel=1e-14)
     assert m.log_z(2.0, 0.0) == pytest.approx(math.log(2.0), rel=1e-14)
+    with pytest.raises(DomainError, match="lam must be finite") as info:
+        m.log_z(2.0, math.nan)
+    assert info.value.key == "lam"
 
 
 def test_model_metadata():

@@ -21,7 +21,7 @@ from thermofid.scan import (
     ScanField,
     ScanGrid,
     TYPE_A,
-    check_fields,
+    check_request,
     classify_transition,
     locate_jumps,
     locate_minima,
@@ -109,6 +109,7 @@ def test_grid_validation():
     ((np.array([0.0]), np.array([-1.0, 1.0]), None), "t_axis"),
     ((np.array([0.0]), np.array([1.0]), 0.0), "delta_t"),
     ((np.array([0.0]), np.array([1.0]), 0.1, -0.1), "delta_lambda"),
+    ((np.array([0.0]), np.array([1.0]), math.inf), "delta_t"),
 ])
 def test_grid_errors_name_the_parameter(args, key):
     with pytest.raises(DomainError) as info:
@@ -120,12 +121,14 @@ def test_check_fields_names_the_parameter():
     grid = ScanGrid(np.array([0.0]), np.array([1.0]), delta_t=0.01)
     for fields, key in ((["Cw"], "fields"), ([], "fields"), (["chi_lambda"], "delta_lambda")):
         with pytest.raises(DomainError) as info:
-            check_fields(fields, grid)
+            check_request(TwoLevel(), grid, fields)
         assert info.value.key == key
-    with pytest.raises(DomainError) as info:
-        check_fields(["Cv"], ScanGrid(np.array([0.0]), np.array([1.0]), delta_t=None))
-    assert info.value.key == "delta_t"
-    check_fields(["F_beta", "Cv", "chi_beta"], grid)
+    for fields in (["Cv"], ["F_beta"]):
+        with pytest.raises(DomainError) as info:
+            check_request(TwoLevel(), ScanGrid(np.array([0.0]), np.array([1.0]), delta_t=None),
+                          fields)
+        assert info.value.key == "delta_t"
+    check_request(TwoLevel(), grid, ["F_beta", "Cv", "chi_beta"])
 
 
 def test_field_shape_validation():
@@ -281,6 +284,48 @@ def test_sweep_rejects_lambda_outside_model_domain():
     assert info.value.key == "delta_lambda"
 
 
+class IntervalModel(TwoLevelField):
+    """Spin in a field defined on a given lam interval, keeping the lam of each lnZ call."""
+
+    def __init__(self, lambda_domain):
+        super().__init__()
+        object.__setattr__(self, "lambda_domain", lambda_domain)
+        object.__setattr__(self, "lams", [])
+
+    def log_z(self, beta, lam):
+        self.lams.append(lam)
+        return super().log_z(beta, lam)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data(),
+       lams=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4, unique=True),
+       delta_lambda=st.floats(1e-3, 1.0),
+       fields=st.lists(st.sampled_from(scan.FIELD_NAMES), min_size=1, unique=True))
+def test_check_request_rejects_exactly_the_sweeps_reading_outside_the_domain(
+        data, lams, delta_lambda, fields):
+    grid = ScanGrid(np.sort(lams), np.array([0.8, 1.2]), delta_t=0.01,
+                    delta_lambda=delta_lambda)
+    reader = IntervalModel((-math.inf, math.inf))
+    sweep(reader, grid, fields, threads=1)
+    # domain ends drawn on the lam the sweep reads, where an off-by-one-bit
+    # offset would show, or anywhere
+    end = st.one_of(st.sampled_from(sorted(set(reader.lams))), st.floats(-3.0, 3.0))
+    lo, hi = sorted((data.draw(end), data.draw(end)))
+    outside = [lam for lam in reader.lams if not lo <= lam <= hi]
+    expected = None
+    if any(lam in outside for lam in grid.lambda_axis):
+        expected = "lambda_axis"
+    elif outside:
+        expected = "delta_lambda"
+    try:
+        check_request(IntervalModel((lo, hi)), grid, fields)
+        key = None
+    except DomainError as exc:
+        key = exc.key
+    assert key == expected
+
+
 def traced_span_names(tmp_path, body):
     """Span names from running body in a fresh interpreter under bench/tracer.py."""
     root = pathlib.Path(__file__).resolve().parents[1]
@@ -418,7 +463,7 @@ def test_locate_jumps_constant_column_empty():
     assert line.points == ()
 
 
-@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
 def test_locate_jumps_rejects_non_positive_threshold(threshold):
     # a threshold <= 0 flags every nonzero step of a smooth column as a jump
     t_axis = np.linspace(1.0, 2.0, 21)
@@ -465,10 +510,14 @@ def test_ising_minimum_aligns_with_cv_peak():
 
 def test_classify_validation():
     t_axis = np.linspace(0.5, 1.5, 11)
-    with pytest.raises(InsufficientSizes):
+    with pytest.raises(InsufficientSizes) as info:
         classify_transition(lambda n: Tim1D(n_sites=n), 0.5, [10, 20], t_axis, 0.01)
+    assert isinstance(info.value, DomainError) and info.value.key == "sizes"
     with pytest.raises(DomainError):
         classify_transition(lambda n: Tim1D(n_sites=n), 0.5, [10, 10, 20], t_axis, 0.01)
+    with pytest.raises(DomainError) as info:
+        scan.check_classify(lambda n: Tim1D(n_sites=n), [math.inf], [10, 20, 40])
+    assert info.value.key == "lambdas"
 
 
 def test_classify_tim_crossover():
