@@ -24,10 +24,6 @@ class QuadratureError(EvaluationError):
     """Adaptive quadrature could not reach tolerance within its budget."""
 
 
-class CutoffError(EvaluationError):
-    """No safe truncation radius found for an improper integral."""
-
-
 class EigensolverError(EvaluationError):
     """Dense or banded eigensolver failed to converge."""
 

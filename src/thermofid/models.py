@@ -5,7 +5,8 @@ float or a 1-D array, plus name / size_field / lambda_domain metadata, so the
 kernel, the scanner, and the CLI treat them interchangeably. Integral forms
 use one rule each: fixed tanh-sinh (Ising), a trapezoid rule whose panels
 grow with beta (chain), and, beta by beta, adaptive Simpson to 1e-10 of a
-coarse estimate (Dicke, whose peak can sit inside the interval).
+coarse estimate on each side of the integrand's peak (Dicke, whose
+log-integrand is concave, so its peak and range need no search that can fail).
 """
 
 import math
@@ -14,9 +15,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (LOG_DROP, ThermoModel, bind_once, check_lambda, check_positive, nan_or_raise,
-                   per_beta)
-from .errors import CutoffError, DomainError, QuadratureError
+from .core import LOG_DROP, ThermoModel, check_lambda, check_positive, nan_or_raise, per_beta
+from .errors import DomainError, QuadratureError
 from .quadrature import adaptive_simpson, composite_simpson
 
 QUAD_TOL = 1e-10
@@ -164,10 +164,10 @@ class Tim1D(ThermoModel):
 class Dicke(ThermoModel):
     """N two-level atoms coupled to one bosonic mode, rotating-wave form.
 
-    lnZ = ln of 2 * integral_0^inf dr r exp(-b r^2) [2 cosh(x(r))]^N with
-    x(r) = (b w0 / 2w) sqrt(1 + 4 lam^2 r^2 w^2 / (N w0^2)). The integrand is
-    evaluated as exp(g(r) - g_peak) with g = ln(2r) - b r^2 + N ln(2 cosh x),
-    so the N-th power never overflows.
+    With u = r^2 for the mode's squared radius, lnZ = ln of the integral over
+    u >= 0 of e^h(u), h(u) = -b u + N ln 2cosh z and z = a sqrt(1 + s u),
+    where a = b w0 / 2w and s = 4 lam^2 w^2 / (N w0^2). The integrand is taken
+    as e^(h - h_peak), so the N-th power never overflows.
     """
 
     omega: float = 1.0
@@ -181,67 +181,64 @@ class Dicke(ThermoModel):
         super().__post_init__()
         for key in ("omega", "omega0"):
             check_positive(key, getattr(self, key))
-        bind_once(globals(), "scipy.optimize", "minimize_scalar")
-
-    def _log_integrand(self, r, beta, lam):
-        r = np.asarray(r, dtype=float)
-        scale = 4.0 * lam * lam * self.omega**2 / (self.n_atoms * self.omega0**2)
-        x = (beta * self.omega0 / (2.0 * self.omega)) * np.sqrt(1.0 + scale * r * r)
-        with np.errstate(divide="ignore"):
-            return np.log(2.0 * r) - beta * r * r + self.n_atoms * log_2cosh(x)
 
     def log_z(self, beta, lam):
         check_positive("beta", beta)
+        check_lambda(self, lam)
         return per_beta(lambda b: self._log_z_at(b, lam), beta)
 
     def _log_z_at(self, beta, lam):
-        g = lambda r: self._log_integrand(r, beta, lam)
-        r_peak, g_peak = _log_peak(g, r_start=1.0 / math.sqrt(2.0 * beta))
-        r_max = _cutoff_radius(g, r_peak, g_peak, LOG_DROP)
+        h, u_lo, u_peak, u_hi = self._log_integrand_range(beta, lam)
+        h_peak = float(h(u_peak))
 
-        def f(r):
-            return np.exp(g(r) - g_peak)
+        def f(u):
+            return np.exp(h(u) - h_peak)
 
-        rough = composite_simpson(f, 0.0, r_max, n=128)
-        integral = adaptive_simpson(f, 0.0, r_max, tol=QUAD_TOL * max(rough, 1e-300))
-        return g_peak + math.log(integral)
+        # the peak is an end of both segments, so each rough estimate samples it
+        integral = 0.0
+        for lo, hi in ((u_lo, u_peak), (u_peak, u_hi)):
+            rough = composite_simpson(f, lo, hi, n=128)
+            integral += adaptive_simpson(f, lo, hi, tol=QUAD_TOL * max(rough, 1e-300))
+        return h_peak + math.log(integral)
 
+    def _log_integrand_range(self, beta, lam):
+        """h, its peak u_peak and a range [u_lo, u_hi] outside which h <= h(u_peak) - LOG_DROP.
 
-def _log_peak(g, r_start):
-    """Locate the maximum of a unimodal log-integrand on (0, inf).
+        h'(u) = -b + (b lam)^2 tanh(z) / 2z falls with u, so h is concave.
+        The peak sits at u = 0 unless h'(0) > 0, and otherwise at the root of
+        b lam^2 tanh z = 2z, in [a, b lam^2 / 2]: the condition h'(0) > 0 is
+        T < dicke_critical_temperature(lam, omega, omega0).
+        """
+        n = self.n_atoms
+        a = beta * self.omega0 / (2.0 * self.omega)
+        s = 4.0 * lam * lam * self.omega**2 / (n * self.omega0**2)
 
-    Geometric samples bracket the peak (the Gaussian factor guarantees decay
-    at both ends); golden-section search refines it.
-    """
-    # Dicke.__post_init__ binds it too; a Dicke unpickled in a spawned worker never ran that
-    bind_once(globals(), "scipy.optimize", "minimize_scalar")
-    radii = r_start * 2.0 ** np.arange(-6.0, 62.0)
-    values = g(radii)
-    idx = int(np.argmax(values))
-    while idx == 0:
-        radii = np.concatenate([radii[:1] * 2.0 ** np.arange(-8.0, 0.0), radii])
-        values = g(radii)
-        idx = int(np.argmax(values))
-    if idx == len(radii) - 1:
-        raise CutoffError("log-integrand still rising at the sampling limit")
-    bracket = (radii[idx - 1], radii[idx], radii[idx + 1])
-    res = minimize_scalar(lambda r: -float(g(r)), bracket=bracket, method="golden",
-                          options={"xtol": 1e-12})
-    r_peak = float(res.x)
-    return r_peak, float(g(r_peak))
+        def h(u):
+            return -beta * u + n * log_2cosh(a * np.sqrt(1.0 + s * u))
 
+        bl2 = beta * lam * lam
+        # h' lies in [-b, 0] right of the peak and in [0, h'(0)] left of it, so
+        # no step shorter than start takes h 1 below its peak
+        u_peak, start = 0.0, 1.0 / beta
+        if bl2 * math.tanh(a) > 2.0 * a:
+            lo, hi = a, 0.5 * bl2
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if bl2 * math.tanh(mid) > 2.0 * mid else (lo, mid)
+            u_peak = n * (lo - a) * (lo + a) / (beta * lam) ** 2
+            start = min(start, 2.0 * a / (beta * (bl2 * math.tanh(a) - 2.0 * a)))
+        h_peak = float(h(u_peak))
 
-def _cutoff_radius(g, r_peak, g_peak, drop):
-    """Smallest doubling of r_peak where the log-integrand has fallen by drop."""
-    target = g_peak - drop
-    radii = r_peak * 2.0 ** np.arange(1.0, 61.0)
-    values = g(radii)
-    below = np.nonzero(values <= target)[0]
-    if below.size == 0:
-        raise CutoffError(
-            f"log-integrand never falls {drop} below its peak within the search range"
-        )
-    return float(radii[below[0]])
+        def fall_step(sign):
+            # the first doubling of start over which h falls by 1 from the
+            # peak; by concavity k such steps take it at least k below
+            step = start
+            while u_peak + sign * step > 0.0 and h(u_peak + sign * step) > h_peak - 1.0:
+                step *= 2.0
+            return step
+
+        u_lo = max(0.0, u_peak - LOG_DROP * fall_step(-1.0))
+        u_hi = u_peak + LOG_DROP * fall_step(1.0)
+        return h, u_lo, u_peak, u_hi
 
 
 def dicke_critical_temperature(lam, omega=1.0, omega0=1.0):

@@ -13,7 +13,7 @@ import pytest
 
 from thermofid import core
 from thermofid.core import ThermoPoint
-from thermofid.errors import DomainError, EvaluationError, StepTooSmall
+from thermofid.errors import DomainError, EvaluationError, QuadratureError, StepTooSmall
 from thermofid.models import Tim1D, TwoLevel, TwoLevelField
 
 F_TWO_LEVEL = -1.1269280110429725        # -ln(2 cosh 1)
@@ -157,6 +157,24 @@ def test_field_array_is_nan_exactly_where_the_float_call_raises():
     assert np.isnan(fid[1])
     with pytest.raises(EvaluationError):
         core.fidelity_beta(Tim1D(), 2e5, 2e5 + 1.0, 1.0)
+
+
+def test_per_beta_is_nan_only_where_evaluate_raises_an_evaluation_error():
+    def evaluate(b):
+        if b == 2.0:
+            raise QuadratureError("no rule reaches tolerance here")
+        if b == 3.0:
+            raise DomainError("outside the model", key="beta")
+        return -b
+
+    values = core.per_beta(evaluate, np.array([1.0, 2.0, 4.0]))
+    assert np.isnan(values).tolist() == [False, True, False]
+    assert values[[0, 2]].tolist() == [-1.0, -4.0]
+    with pytest.raises(QuadratureError):
+        core.per_beta(evaluate, 2.0)
+    # only an evaluation failure becomes NaN; a domain error stops the whole array
+    with pytest.raises(DomainError):
+        core.per_beta(evaluate, np.array([1.0, 3.0]))
 
 
 def test_chi_beta_two_level():

@@ -19,6 +19,8 @@ MODEL_CONFIGS = {
     "ising2d": {"model": {"name": "ising2d"}, "grid": {"lambda": [0.0], "t": [2.0, 2.5]}},
     "tim1d": {"model": {"name": "tim1d"}, "grid": {"lambda": [0.5], "t": [0.5, 1.0]}},
     "lmg": {"model": {"name": "lmg", "n_spins": 20}, "grid": {"lambda": [0.5], "t": [0.5, 1.0]}},
+    "dicke": {"model": {"name": "dicke", "n_atoms": 20},
+              "grid": {"lambda": [1.5], "t": [0.5, 1.0]}},
 }
 
 
@@ -54,6 +56,16 @@ def test_resolving_a_config_loads_scipy_only_for_lmg(tmp_path, name):
         assert "scipy.optimize" not in loaded
     else:
         assert loaded == []
+
+
+def test_dicke_evaluation_loads_no_scipy(tmp_path):
+    # below T_c, where the integrand's peak is away from u = 0
+    assert fresh(tmp_path, (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from thermofid.models import Dicke\n"
+        "Dicke(n_atoms=20).log_z(np.array([0.5, 2.0]), 1.5)\n"
+        f"print({SCIPY_MODULES})")) == []
 
 
 def scan_imports(tmp_path, workload, **overrides):

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipk
 
@@ -261,19 +263,70 @@ def test_dicke_near_extensive():
     assert diffs[2] < diffs[1] < diffs[0]
 
 
-def test_dicke_log_integrand_concave_beyond_peak():
-    from thermofid.models import _cutoff_radius, _log_peak
+# (N, lam, T): normal and superradiant phases, near T_c(1.5) = 1.0466, and
+# N = 800, lam = 3 at T = 0.03 and 0.05, whose narrow peak lies far from u = 0
+DICKE_POINTS = [(100, 1.5, 1.0), (200, 1.5, 1.05), (50, 0.5, 0.3), (200, 0.0, 2.0),
+                (800, 3.0, 0.03), (800, 3.0, 0.05), (800, 2.0, 3.0)]
 
-    model = Dicke(n_atoms=100)
-    beta, lam = 1.0, 1.5
-    g = lambda r: model._log_integrand(r, beta, lam)
-    r_peak, g_peak = _log_peak(g, r_start=1.0 / math.sqrt(2.0 * beta))
-    r_max = _cutoff_radius(g, r_peak, g_peak, 45.0)
-    rs = np.linspace(r_peak, r_max, 200)
-    vals = g(rs)
-    second = vals[2:] + vals[:-2] - 2.0 * vals[1:-1]
-    assert second.max() <= 1e-8
-    assert g(np.array([r_max]))[0] <= g_peak - 45.0
+
+def test_dicke_log_integrand_concave_beyond_peak():
+    for n, lam, t in DICKE_POINTS:
+        model, beta = Dicke(n_atoms=n), 1.0 / t
+        h, u_lo, u_peak, u_hi = model._log_integrand_range(beta, lam)
+        z = lambda u: beta / 2.0 * np.sqrt(1.0 + 4.0 * lam * lam * u / n)
+        slope = lambda u: -beta + (beta * lam) ** 2 * np.tanh(z(u)) / (2.0 * z(u))
+        if u_peak > 0.0:
+            assert abs(slope(u_peak)) <= 1e-9 * beta
+        else:
+            assert slope(0.0) <= 0.0
+        vals = h(np.linspace(u_lo, u_hi, 400))
+        second = vals[2:] + vals[:-2] - 2.0 * vals[1:-1]
+        assert second.max() <= 1e-13 * np.abs(vals).max()
+        h_peak = h(u_peak)
+        assert h(u_hi) <= h_peak - core.LOG_DROP
+        if u_lo > 0.0:
+            assert h(u_lo) <= h_peak - core.LOG_DROP
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(omega=st.floats(1e-3, 1e3), omega0=st.floats(1e-3, 1e3), lam=st.floats(0.0, 1e3),
+       below=st.booleans(), distance=st.floats(-5.9, 1.0))
+def test_dicke_peak_leaves_zero_exactly_below_critical_temperature(omega, omega0, lam, below,
+                                                                   distance):
+    # ln(T / T_c) = -+10^distance, at least 1.26e-6 from the superradiant line;
+    # as omega lam^2 -> omega0, T_c -> 0 and an ulp of the inputs moves it by
+    # any factor, so the coupling stays 1e-6 relative above that edge too
+    assume(omega * lam * lam > omega0 * (1.0 + 1e-6))
+    t = dicke_critical_temperature(lam, omega, omega0) * math.exp(
+        (-1.0 if below else 1.0) * 10.0**distance)
+    _, _, u_peak, _ = Dicke(omega=omega, omega0=omega0)._log_integrand_range(1.0 / t, lam)
+    assert (u_peak > 0.0) == below
+
+
+def _mp_dicke_log_z(n, beta, lam):
+    """lnZ by mpmath.quad at 30 digits over u = r^2, broken at its own peak and widths."""
+    with mpmath.workdps(30):
+        beta, lam = mpmath.mpf(beta), mpmath.mpf(lam)
+        z = lambda u: beta / 2 * mpmath.sqrt(1 + 4 * lam**2 * u / n)
+        h = lambda u: -beta * u + n * mpmath.log(2 * mpmath.cosh(z(u)))
+        slope = lambda u: -beta + (beta * lam) ** 2 * mpmath.tanh(z(u)) / (2 * z(u))
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while slope(hi) > 0:
+            hi *= 2
+        for _ in range(200 if slope(0) > 0 else 0):
+            lo, hi = ((lo + hi) / 2, hi) if slope((lo + hi) / 2) > 0 else (lo, (lo + hi) / 2)
+        width = 1 / max(abs(slope(lo)), mpmath.sqrt(abs(mpmath.diff(h, lo, 2))))
+        points = sorted({lo + k * width for k in (-32, -8, -2, 0, 2, 8, 32, 64)
+                         if lo + k * width > 0} | {mpmath.mpf(0)})
+        h_peak = h(lo)
+        return h_peak + mpmath.log(mpmath.quad(lambda u: mpmath.exp(h(u) - h_peak),
+                                               points + [mpmath.inf]))
+
+
+@pytest.mark.parametrize("n, lam, t", DICKE_POINTS)
+def test_dicke_matches_mpmath(n, lam, t):
+    value = Dicke(n_atoms=n).log_z(1.0 / t, lam)
+    assert abs(float(value - _mp_dicke_log_z(n, 1.0 / t, lam))) <= 1e-11 * abs(value)
 
 
 def test_dicke_convex_in_beta():
@@ -300,12 +353,15 @@ def test_dicke_parameter_validation():
         Dicke(omega=-1.0)
     with pytest.raises(DomainError):
         Dicke(n_atoms=0)
-    # with a non-finite frequency the peak search in log_z never ends
     for key in ("omega", "omega0"):
         for value in (math.nan, math.inf):
             with pytest.raises(DomainError) as info:
                 Dicke(**{key: value})
             assert info.value.key == key
+    for lam in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="lam must be finite") as info:
+            Dicke().log_z(1.0, lam)
+        assert info.value.key == "lam"
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +420,13 @@ def test_tim_log_z_array_in_several_blocks_matches_float_calls_bitwise():
 
 
 def test_log_z_array_is_nan_only_where_a_beta_fails():
-    # at N = 800, lam = 3 and T = 0.05 Dicke's adaptive Simpson misses its
-    # tolerance; Tim1D at beta J = 2e5 needs more than its panel budget
-    for model, lam, bad_beta in ((Dicke(n_atoms=800), 3.0, 20.0), (Tim1D(), 1.0, 2e5)):
-        values = model.log_z(np.array([1.0, bad_beta, 2.0]), lam)
-        assert np.isnan(values).tolist() == [False, True, False]
-        assert values[[0, 2]].tolist() == [model.log_z(1.0, lam), model.log_z(2.0, lam)]
-        with pytest.raises(QuadratureError):
-            model.log_z(bad_beta, lam)
+    # Tim1D at beta J = 2e5 needs more than its panel budget
+    model, bad_beta = Tim1D(), 2e5
+    values = model.log_z(np.array([1.0, bad_beta, 2.0]), 1.0)
+    assert np.isnan(values).tolist() == [False, True, False]
+    assert values[[0, 2]].tolist() == [model.log_z(1.0, 1.0), model.log_z(2.0, 1.0)]
+    with pytest.raises(QuadratureError):
+        model.log_z(bad_beta, 1.0)
 
 
 ORACLE_POINTS = (
