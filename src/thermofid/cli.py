@@ -13,6 +13,7 @@ THERMOFID_OUTPUT_DIR overrides any configured output directory.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -255,10 +256,17 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+@functools.lru_cache(maxsize=8)
+def _labels(axis_bytes):
+    """_fmt of each value of the float64 axis with these bytes, once for all of a scan's fields."""
+    return [_fmt(x) for x in np.frombuffer(axis_bytes).tolist()]
+
+
 def write_field_csv(path, field):
-    t_cols = [_fmt(t) for t in field.grid.t_axis]
-    rows = [f"{lam},{t},{_fmt(value)}\n"
-            for lam, values in zip(map(_fmt, field.grid.lambda_axis), field.values.tolist())
+    grid = field.grid
+    t_cols = _labels(grid.t_axis.tobytes())
+    rows = [f"{lam},{t},{value:.17g}\n"
+            for lam, values in zip(_labels(grid.lambda_axis.tobytes()), field.values.tolist())
             for t, value in zip(t_cols, values)]
     with open(path, "w") as fh:
         fh.write("lambda,T,value\n" + "".join(rows))

@@ -28,17 +28,34 @@ _BRACKET_HI = 1.0 - 1e-9
 
 
 def _load_scipy():
-    """Bind eigh_tridiagonal, gammaln and logsumexp here, keeping any name already bound."""
+    """Bind eigh_tridiagonal and gammaln here, keeping any name already bound."""
     bind_once(globals(), "scipy.linalg", "eigh_tridiagonal")
-    bind_once(globals(), "scipy.special", "gammaln", "logsumexp")
+    bind_once(globals(), "scipy.special", "gammaln")
 
 
 def __getattr__(name):
-    # lmg.logsumexp read from outside (to wrap it) before any load
-    if name in ("eigh_tridiagonal", "gammaln", "logsumexp"):
+    # lmg.eigh_tridiagonal read from outside (to wrap it) before any load
+    if name in ("eigh_tridiagonal", "gammaln"):
         _load_scipy()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def logsumexp(x):
+    """scipy.special.logsumexp(x) for a finite, non-empty 1-D float array x, bit for bit.
+
+    scipy's arithmetic without its second pass, which only matters for an
+    infinite result: s sums exp(x - max) over all but the m terms equal to
+    the maximum, and the result is log1p(s / m) + log(m) + max.
+    """
+    top = x.max()
+    at_top = x == top
+    terms = np.exp(x - top)
+    # zeroed in place, not removed: the pairwise sum then adds in scipy's order
+    terms[at_top] = 0.0
+    m = np.count_nonzero(at_top)
+    s = terms.sum()
+    return float(np.log1p(s / m if s else s) + np.log(m) + top)
 
 
 def _sector_bands(sector_spin, n_spins, gamma, lam):
@@ -120,6 +137,21 @@ def _full_levels(n_spins, gamma, lam):
     return np.concatenate(energies), np.concatenate(weights)
 
 
+def _levels_in_reach(energies, weights, beta):
+    """The levels, in order, whose term w - b E comes within LOG_DROP of the largest at some b.
+
+    b ranges over [min(beta), max(beta)]. A term is linear in b, so at every
+    such b the largest term is at least R, the largest over levels of the
+    smaller of its two end values; a level whose larger end value is below
+    R - LOG_DROP - 1 (1 for rounding) is never summed. Each b then sums the
+    same terms in the same order as it would over all levels.
+    """
+    lo, hi = (energies * -b + weights for b in (np.min(beta), np.max(beta)))
+    floor = np.minimum(lo, hi).max() - LOG_DROP - 1.0
+    keep = np.maximum(lo, hi, out=lo) >= floor
+    return energies[keep], weights[keep]
+
+
 @dataclass(frozen=True)
 class Lmg(ThermoModel):
     """Catalog entry: the collective-spin model as a ThermoModel over lam.
@@ -150,13 +182,15 @@ class Lmg(ThermoModel):
         matrix would hold 160,801 levels per beta at N = 800. Each logsumexp
         sums only the terms x = w - beta E within LOG_DROP of their largest:
         the n dropped terms move lnZ by at most n e^-45, 4.7e-15 at N = 800,
-        under 1/20 ulp of lnZ >= N ln 2 = 554 (Tr H = 0).
+        under 1/20 ulp of lnZ >= N ln 2 = 554 (Tr H = 0). The levels that can
+        give such a term at some beta of the call are picked once per call.
         """
         check_positive("beta", beta)
         check_lambda(self, lam)
         # even in the field (a pi rotation about x flips its sign), so the
         # central susceptibility stencil works at lam = 0
         energies, weights = _full_levels(self.n_spins, self.gamma, abs(lam))
+        energies, weights = _levels_in_reach(energies, weights, beta)
 
         def at(b):
             x = energies * -b  # then x += w: bitwise w - b E, with one n-level temporary

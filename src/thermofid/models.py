@@ -24,7 +24,8 @@ LN2 = math.log(2.0)
 
 # a chain beta needing more trapezoid panels (T below about 8e-6 J) fails
 TIM_MAX_PANELS = 2**20
-# the chain's ln 2cosh arrays take about this many values per block of betas
+# the chain's ln 2cosh arrays, and the Ising integrand's, take about this many
+# values per block of betas
 TIM_BLOCK = 2**14
 
 
@@ -88,13 +89,19 @@ class Ising2D(ThermoModel):
         check_positive("beta", beta)
         check_lambda(self, lam)
         # the integrand is symmetric under phi -> pi - phi: twice the [0, pi/2] rule
-        # ln[(1 + sqrt(max(1 - ks^2, 0))) / 2] * weights, in place on one array
-        x = np.multiply.outer(ising2d_k(beta, self.coupling_j), _ISING_SIN_PHI)
-        np.subtract(1.0, np.multiply(x, x, out=x), out=x)
-        np.sqrt(np.maximum(x, 0.0, out=x), out=x)
-        np.log(np.multiply(np.add(x, 1.0, out=x), 0.5, out=x), out=x)
-        integral = np.sum(np.multiply(x, _ISING_WEIGHTS, out=x), axis=-1)
-        per_site = log_2cosh(2.0 * np.asarray(beta) * self.coupling_j) + integral / math.pi
+        # ln[(1 + sqrt(max(1 - ks^2, 0))) / 2] * weights, in place on one array per
+        # block of betas: one array for a whole column would set a scan's peak memory
+        k = np.atleast_1d(ising2d_k(beta, self.coupling_j))
+        integral = np.empty(k.size)
+        rows = TIM_BLOCK // _ISING_SIN_PHI.size
+        for i in range(0, k.size, rows):
+            x = np.multiply.outer(k[i:i + rows], _ISING_SIN_PHI)
+            np.subtract(1.0, np.multiply(x, x, out=x), out=x)
+            np.sqrt(np.maximum(x, 0.0, out=x), out=x)
+            np.log(np.multiply(np.add(x, 1.0, out=x), 0.5, out=x), out=x)
+            integral[i:i + rows] = np.sum(np.multiply(x, _ISING_WEIGHTS, out=x), axis=-1)
+        per_site = (log_2cosh(2.0 * np.asarray(beta) * self.coupling_j)
+                    + integral.reshape(np.shape(beta)) / math.pi)
         return self.n_sites * per_site
 
 
@@ -199,6 +206,10 @@ class Dicke(ThermoModel):
         for lo, hi in ((u_lo, u_peak), (u_peak, u_hi)):
             rough = composite_simpson(f, lo, hi, n=128)
             integral += adaptive_simpson(f, lo, hi, tol=QUAD_TOL * max(rough, 1e-300))
+        if not 0.0 < integral < math.inf:
+            # e.g. a range that rounds to one u: a fall step below the rounding of u_peak
+            raise QuadratureError(f"{self.name}: integral {integral} over [{u_lo}, {u_hi}] "
+                                  f"at beta={beta}, lam={lam}")
         return h_peak + math.log(integral)
 
     def _log_integrand_range(self, beta, lam):
@@ -224,9 +235,12 @@ class Dicke(ThermoModel):
             lo, hi = a, 0.5 * bl2
             while lo < (mid := 0.5 * (lo + hi)) < hi:
                 lo, hi = (mid, hi) if bl2 * math.tanh(mid) > 2.0 * mid else (lo, mid)
-            u_peak = n * (lo - a) * (lo + a) / (beta * lam) ** 2
+            u_peak = n * (lo - a) * (lo + a) / ((beta * lam) * (beta * lam))
             start = min(start, 2.0 * a / (beta * (bl2 * math.tanh(a) - 2.0 * a)))
-        h_peak = float(h(u_peak))
+        # b lam^2 or u_peak overflows at a large enough coupling
+        if not (math.isfinite(u_peak) and math.isfinite(h_peak := float(h(u_peak)))):
+            raise QuadratureError(f"{self.name}: the integrand's peak overflows at "
+                                  f"beta={beta}, lam={lam}")
 
         def fall_step(sign):
             # the first doubling of start over which h falls by 1 from the

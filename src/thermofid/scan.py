@@ -138,16 +138,34 @@ def _sweep_column(model, fields, lam, t_axis, delta_t, delta_lambda):
     betas = {}
     for _, _, points in stencils:
         for beta, at in points:
-            betas.setdefault(at, []).append(beta.tolist())
+            betas.setdefault(at, []).append(beta)
     lnz = {}
     for at, parts in betas.items():
-        # each beta once, by exact bits, with the index of its lnZ value
-        index = {b: i for i, b in enumerate(dict.fromkeys(b for part in parts for b in part))}
+        # each beta once, by exact value: sorted, then kept where it differs from its
+        # sorted neighbour. Python's sort merges the parts' monotone runs; a numpy sort
+        # would add its code pages to the scan's peak memory, and np.unique's first call
+        # imports numpy.ma
+        requested = np.concatenate(parts)
+        floats = requested.tolist()
+        order = np.fromiter(sorted(range(len(floats)), key=floats.__getitem__), np.intp,
+                            len(floats))
+        ordered = requested[order]
+        new = np.empty(ordered.size, dtype=bool)
+        new[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        distinct = ordered[new]
         try:
-            values = core.log_z(model, np.fromiter(index, float, len(index)), at)
+            values = core.log_z(model, distinct, at)
         except EvaluationError:
-            values = np.full(len(index), math.nan)
-        lnz[at] = iter([values[[index[b] for b in part]] for part in parts])
+            values = np.full(distinct.size, math.nan)
+        run = np.arange(ordered.size)  # each sorted beta's first equal one
+        run[~new] = 0
+        np.maximum.accumulate(run, out=run)
+        index = np.empty_like(order)
+        index[order] = run
+        spread = np.empty(ordered.size)
+        spread[new] = values
+        lnz[at] = iter(spread[index].reshape(len(parts), -1))
     return np.array([getattr(core, name)(model, *args, lnz=[next(lnz[at]) for _, at in points])
                      for name, args, points in stencils])
 

@@ -312,6 +312,20 @@ def test_field_csv_round_trip_exact(tmp_path):
     assert np.array_equal(loaded.grid.t_axis, grid.t_axis)
 
 
+def test_field_csv_rows_match_per_value_format(tmp_path):
+    # axes whose values need all 17 digits; two fields share the grid's row labels
+    grid = scan.ScanGrid(np.array([0.1 + 0.2, 1.0 / 3.0]), np.array([0.3, 2.0 / 3.0, math.pi]),
+                         delta_t=0.01)
+    for k, values in enumerate((np.array([[1.0 / 7.0, -math.e, 5e-324], [1e300, 0.0, math.nan]]),
+                                np.arange(6.0).reshape(2, 3) / 9.0)):
+        path = tmp_path / f"f{k}.csv"
+        cli.write_field_csv(str(path), scan.ScanField(f"f{k}", grid, values))
+        rows = [f"{lam:.17g},{t:.17g},{v:.17g}\n"
+                for lam, row in zip(grid.lambda_axis.tolist(), values.tolist())
+                for t, v in zip(grid.t_axis.tolist(), row)]
+        assert path.read_bytes() == ("lambda,T,value\n" + "".join(rows)).encode()
+
+
 def test_build_axis_specs():
     axis = cli.build_axis({"start": 1.5, "stop": 3.5, "step": 0.005}, "grid.t")
     assert axis.size == 401

@@ -2,12 +2,17 @@
 full-trace thermodynamics, and the finite-temperature mean field."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from thermofid import core, lmg
+from thermofid.core import LOG_DROP
 from thermofid.errors import DomainError
 from thermofid.lmg import (
     Lmg,
@@ -179,6 +184,42 @@ def test_exact_cv_peak_approaches_meanfield_line():
         gaps.append(abs(t_axis[int(np.argmax(col))] - tc))
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < gaps[0]
+
+
+EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+TERMS = st.floats(-1e3, 1e3)
+
+
+@EXAMPLES
+@given(x=st.one_of(
+    arrays(np.float64, st.integers(1, 600), elements=TERMS),  # spreads up to 2000 > 745
+    # terms that all count, past numpy's 128-term pairwise blocks: leaving the
+    # maximum out of the sum, rather than zeroing it, moves the last bit here
+    arrays(np.float64, st.integers(129, 600), elements=st.floats(-40.0, 0.0)),
+    st.builds(np.full, st.integers(1, 40), TERMS),  # every term the maximum
+    st.builds(lambda x, k: np.insert(x, np.arange(k) * x.size // k, x.max()),
+              arrays(np.float64, st.integers(1, 300), elements=TERMS), st.integers(1, 9)),
+))
+def test_logsumexp_is_scipys_bit_for_bit(x):
+    assert lmg.logsumexp(x) == float(logsumexp(x))
+
+
+@EXAMPLES
+@given(n=st.integers(2, 60), gamma=st.floats(0.0, 1.0), lam=st.floats(-2.0, 2.0),
+       betas=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=8), repeats=st.integers(0, 2))
+def test_level_pick_exact_for_any_beta_range(n, gamma, lam, betas, repeats):
+    # the levels picked once per call are every level any beta of the call sums
+    betas = np.array(betas + betas[:repeats])
+    energies, weights = _full_levels(n, gamma, abs(lam))
+    model = Lmg(n, gamma)
+    values = model.log_z(betas, lam).tolist()
+    assert values == [model.log_z(b, lam) for b in betas.tolist()]
+    full = [weights - b * energies for b in betas]
+    assert values == [float(logsumexp(x[x >= x.max() - LOG_DROP])) for x in full]
+    # the LOG_DROP cutoff itself regroups scipy's pairwise sum, which can move
+    # the last bit (1 ulp at n = 34, gamma = 0.485, lam = 0.783, beta = 5.13)
+    assert values == pytest.approx([float(logsumexp(x)) for x in full],
+                                   rel=4 * sys.float_info.epsilon)
 
 
 def test_level_cutoff_exact_on_acceptance_columns(monkeypatch):

@@ -364,6 +364,15 @@ def test_dicke_parameter_validation():
         assert info.value.key == "lam"
 
 
+@pytest.mark.parametrize("lam", [1e6, 1e20, 1e100, 1e160])
+def test_dicke_huge_coupling_is_a_typed_failure(lam):
+    # e^(h - h_peak) is rounding noise at 1e6 (h_peak ~ 2.5e13), the range rounds
+    # to one u at 1e20, and the peak's u overflows at 1e100 and b lam^2 at 1e160
+    with pytest.raises(QuadratureError):
+        Dicke().log_z(1.0, lam)
+    assert np.isnan(Dicke().log_z(np.array([0.5, 1.0]), lam)).all()
+
+
 # ---------------------------------------------------------------------------
 # two-level toys
 # ---------------------------------------------------------------------------
@@ -417,6 +426,13 @@ def test_tim_log_z_array_in_several_blocks_matches_float_calls_bitwise():
     betas = 1.0 / np.linspace(2.0, 4.0, 2 * models.TIM_BLOCK // 64 + 7)
     values = Tim1D(n_sites=2).log_z(betas, 0.7)
     assert values.tolist() == [Tim1D(n_sites=2).log_z(float(b), 0.7) for b in betas]
+
+
+def test_ising_log_z_array_in_several_blocks_matches_float_calls_bitwise():
+    # the integrand takes TIM_BLOCK // 91 betas per block: this array takes three
+    betas = 1.0 / np.linspace(1.5, 3.5, 2 * models.TIM_BLOCK // 91 + 7)
+    values = Ising2D(n_sites=2).log_z(betas, 0.0)
+    assert values.tolist() == [Ising2D(n_sites=2).log_z(float(b), 0.0) for b in betas]
 
 
 def test_log_z_array_is_nan_only_where_a_beta_fails():
