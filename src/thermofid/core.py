@@ -11,7 +11,6 @@ temperature; the matching beta perturbation is always derived as
 dbeta = dT / (T (T + dT)).
 """
 
-import importlib
 import math
 import sys
 import warnings
@@ -72,19 +71,6 @@ def per_beta(evaluate, beta):
         except EvaluationError:
             values[i] = math.nan
     return values
-
-
-def bind_once(namespace, module, *names):
-    """Bind each of names from module into namespace unless it is bound there already.
-
-    A model module calls this with its globals() when a model is built or an
-    entry point runs, so importing the package loads no dependency that only
-    some models use. A name bound before, such as a wrapper set from outside,
-    is kept.
-    """
-    source = importlib.import_module(module)
-    for name in names:
-        namespace.setdefault(name, getattr(source, name))
 
 
 @runtime_checkable

@@ -36,10 +36,6 @@ class StepTooSmall(ThermofidError):
     """Finite-difference step sits below the numerical noise floor."""
 
 
-class SolverError(ThermofidError):
-    """Root finding failed despite an apparently valid bracket."""
-
-
 class InsufficientSizes(DomainError):
     """Transition classification needs at least three system sizes."""
 

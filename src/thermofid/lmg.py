@@ -19,23 +19,22 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import LOG_DROP, ThermoModel, bind_once, check_lambda, check_positive, per_beta
-from .errors import DomainError, EigensolverError, SolverError
+from .core import LOG_DROP, ThermoModel, check_lambda, check_positive, per_beta
+from .errors import DomainError, EigensolverError
 
-MEANFIELD_XTOL = 1e-12
 _BRACKET_LO = 1e-9
 _BRACKET_HI = 1.0 - 1e-9
 
 
 def _load_scipy():
-    """Bind eigh_tridiagonal and gammaln here, keeping any name already bound."""
-    bind_once(globals(), "scipy.linalg", "eigh_tridiagonal")
-    bind_once(globals(), "scipy.special", "gammaln")
+    """Bind scipy's eigh_tridiagonal here, keeping a name already bound, such as a wrapper."""
+    from scipy.linalg import eigh_tridiagonal
+    globals().setdefault("eigh_tridiagonal", eigh_tridiagonal)
 
 
 def __getattr__(name):
     # lmg.eigh_tridiagonal read from outside (to wrap it) before any load
-    if name in ("eigh_tridiagonal", "gammaln"):
+    if name == "eigh_tridiagonal":
         _load_scipy()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -108,18 +107,18 @@ def lmg_build_matrix(n_spins, gamma, lam):
     return mat
 
 
-def log_sector_degeneracy(n_spins, sector_spin):
-    """ln of the number of spin-S multiplets in N spin-1/2s.
-
-    g(N, S) = C(N, N/2 - S) - C(N, N/2 - S - 1), evaluated through log-gamma
-    so N = 800 stays in range.
-    """
-    _load_scipy()
-    k = round(0.5 * n_spins - sector_spin)
-    if k < 0 or sector_spin < 0:
+def sector_degeneracy(n_spins, sector_spin):
+    """The number g(N, S) = C(N, k) - C(N, k - 1), k = N/2 - S, of spin-S multiplets, exactly."""
+    k = 0.5 * n_spins - sector_spin
+    if not (0.0 <= k <= 0.5 * n_spins and k == int(k)):
         raise DomainError(f"no spin-{sector_spin} sector for N={n_spins}")
-    log_binom = (gammaln(n_spins + 1) - gammaln(k + 1) - gammaln(n_spins - k + 1))
-    return float(log_binom + math.log1p(-k / (n_spins - k + 1.0)))
+    k = int(k)
+    return math.comb(n_spins, k) - (math.comb(n_spins, k - 1) if k else 0)
+
+
+def log_sector_degeneracy(n_spins, sector_spin):
+    """ln g(N, S), from the exact integer: within about 1 ulp of the true logarithm."""
+    return math.log(sector_degeneracy(n_spins, sector_spin))
 
 
 @lru_cache(maxsize=32)
@@ -146,8 +145,11 @@ def _levels_in_reach(energies, weights, beta):
     R - LOG_DROP - 1 (1 for rounding) is never summed. Each b then sums the
     same terms in the same order as it would over all levels.
     """
-    lo, hi = (energies * -b + weights for b in (np.min(beta), np.max(beta)))
-    floor = np.minimum(lo, hi).max() - LOG_DROP - 1.0
+    b_lo = np.min(beta)
+    lo, hi = (energies * -b + weights for b in (b_lo, np.max(beta)))
+    # the minimum overwrites lo, formed again after it: two level-length arrays, not three
+    floor = np.minimum(lo, hi, out=lo).max() - LOG_DROP - 1.0
+    lo = np.add(np.multiply(energies, -b_lo, out=lo), weights, out=lo)
     keep = np.maximum(lo, hi, out=lo) >= floor
     return energies[keep], weights[keep]
 
@@ -236,7 +238,7 @@ def lmg_meanfield_free_energy(m_x, m_y, beta, lam, gamma):
 
 
 def lmg_meanfield_solve(beta, lam, gamma):
-    """Solve the gamma < 1 branch: bisection for m_x on [0, 1], m_y = 0.
+    """Solve the gamma < 1 branch: bisection for m_x on [0, 1] to the last bit, m_y = 0.
 
     The nontrivial root exists exactly when T < lam/atanh(lam); otherwise the
     trivial solution is returned. The branch is picked by free-energy
@@ -255,20 +257,13 @@ def lmg_meanfield_solve(beta, lam, gamma):
         t = beta if u == 0.0 else math.tanh(beta * u) / u
         return 1.0 - t
 
-    f_lo = factor(_BRACKET_LO)
-    f_hi = factor(_BRACKET_HI)
-    if f_lo >= 0.0:
-        m_x = 0.0
-    elif f_hi <= 0.0:
-        # root pinned within 1e-9 of saturation (very low T at small lam)
-        m_x = _BRACKET_HI
-    else:
-        from scipy.optimize import bisect
-
-        try:
-            m_x = bisect(factor, _BRACKET_LO, _BRACKET_HI, xtol=MEANFIELD_XTOL)
-        except (RuntimeError, ValueError) as exc:
-            raise SolverError(f"mean-field bisection failed: {exc}") from exc
+    m_x, lo, hi = 0.0, _BRACKET_LO, _BRACKET_HI
+    if factor(lo) < 0.0:
+        # down to adjacent floats with factor(lo) < 0 <= factor(hi); hi stays at
+        # _BRACKET_HI when the root is within 1e-9 of saturation (very low T, small lam)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if factor(mid) < 0.0 else (lo, mid)
+        m_x = hi
 
     f_branch = lmg_meanfield_free_energy(m_x, 0.0, beta, lam, gamma)
     f_trivial = lmg_meanfield_free_energy(0.0, 0.0, beta, lam, gamma)

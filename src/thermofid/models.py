@@ -284,6 +284,7 @@ class TwoLevel(ThermoModel):
 
     def log_z(self, beta, lam):
         check_positive("beta", beta)
+        check_lambda(self, lam)
         return log_2cosh(np.asarray(beta) * self.gap)
 
 

@@ -4,6 +4,7 @@ Each test runs in a fresh interpreter, because the test process itself has
 long since imported scipy through other tests.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -51,9 +52,9 @@ def test_resolving_a_config_loads_scipy_only_for_lmg(tmp_path, name):
         f"cli.resolve_scan_config(json.loads({json.dumps(json.dumps(config))}))\n"
         f"print({SCIPY_MODULES})"))
     if name == "lmg":
-        # the level build's eigensolver; the mean-field root finder stays unloaded
-        assert "scipy.linalg" in loaded and "scipy.special" in loaded
-        assert "scipy.optimize" not in loaded
+        # the level build's eigensolver, and no other part of scipy
+        assert "scipy.linalg" in loaded
+        assert "scipy.special" not in loaded and "scipy.optimize" not in loaded
     else:
         assert loaded == []
 
@@ -66,6 +67,40 @@ def test_dicke_evaluation_loads_no_scipy(tmp_path):
         "from thermofid.models import Dicke\n"
         "Dicke(n_atoms=20).log_z(np.array([0.5, 2.0]), 1.5)\n"
         f"print({SCIPY_MODULES})")) == []
+
+
+def test_meanfield_loads_no_scipy(tmp_path):
+    assert fresh(tmp_path, (
+        "import json, sys\n"
+        "from thermofid import cli\n"
+        "assert cli.main(['meanfield', '--lambda', '0,0.4,0.8', '--output', 'mf.csv']) == 0\n"
+        f"print({SCIPY_MODULES})")) == []
+
+
+def scipy_imports(node, where):
+    """(function, name) for each scipy import, and each dynamic import, under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [f"{child.module}.{alias.name}" for alias in child.names]
+        elif isinstance(child, ast.Call):
+            func = getattr(child.func, "attr", getattr(child.func, "id", None))
+            names = ["<dynamic>"] if func in ("import_module", "__import__") else []
+        else:
+            names = []
+        yield from ((where, n) for n in names if n.split(".")[0] in ("scipy", "<dynamic>"))
+        scope = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        yield from scipy_imports(child, f"{where}.{child.name}" if isinstance(child, scope)
+                                 else where)
+
+
+def test_the_one_scipy_import_is_lmgs_eigensolver():
+    # a function-level import on a path the fresh-interpreter tests never run
+    # would escape them; this reads every module's source instead
+    found = [hit for path in sorted((ROOT / "src" / "thermofid").glob("*.py"))
+             for hit in scipy_imports(ast.parse(path.read_text()), path.stem)]
+    assert found == [("lmg._load_scipy", "scipy.linalg.eigh_tridiagonal")]
 
 
 def scan_imports(tmp_path, workload, **overrides):

@@ -4,9 +4,10 @@ full-trace thermodynamics, and the finite-temperature mean field."""
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
@@ -23,6 +24,7 @@ from thermofid.lmg import (
     lmg_meanfield_residual,
     lmg_meanfield_solve,
     log_sector_degeneracy,
+    sector_degeneracy,
 )
 
 M_ROOT_T05 = 0.9575040240772686   # m = tanh(2m), bisection
@@ -150,6 +152,30 @@ def test_degeneracies_sum_to_hilbert_dimension():
         dim = int(round(2 * s)) + 1
         total += dim * math.exp(log_sector_degeneracy(n, s))
     assert total == pytest.approx(2.0**n, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 30, 800, 801])
+def test_degeneracies_count_the_hilbert_space_exactly(n):
+    # the sum over S of (2S + 1) g(N, S) is 2^N, here in integers, with no rounding
+    assert sum((n - 2 * k + 1) * sector_degeneracy(n, 0.5 * n - k)
+               for k in range(n // 2 + 1)) == 2**n
+
+
+def test_degeneracy_rejects_a_spin_the_size_cannot_have():
+    # S runs over N/2, N/2 - 1, ... down to 0 or 1/2
+    for n, s in ((3, 0.0), (4, 0.5), (4, 0.3), (4, -1.0), (4, 3.0), (4, math.nan)):
+        with pytest.raises(DomainError, match="no spin"):
+            log_sector_degeneracy(n, s)
+
+
+@pytest.mark.parametrize("n", [2, 3, 30, 800, 801])
+def test_log_degeneracy_within_two_ulp_of_mpmath(n):
+    # a log-gamma difference errs by hundreds of ulp at N = 800
+    with mpmath.workdps(30):
+        for k in range(n // 2 + 1):
+            exact = mpmath.log(mpmath.binomial(n, k) - (mpmath.binomial(n, k - 1) if k else 0))
+            value = log_sector_degeneracy(n, 0.5 * n - k)
+            assert abs(mpmath.mpf(value) - exact) <= 2 * math.ulp(value), (n, k)
 
 
 def test_full_trace_exceeds_sector_trace():
@@ -315,6 +341,21 @@ def test_meanfield_solve_zero_field_root():
     assert sol.m_x == pytest.approx(M_ROOT_T05, abs=1e-10)
     res = lmg_meanfield_residual(sol.m_x, 0.0, 2.0, 0.0, 0.0)
     assert abs(res[0]) < 1e-10
+
+
+@EXAMPLES
+@given(lam=st.floats(0.0, 0.99), fraction=st.floats(0.01, 0.999))
+def test_meanfield_root_brackets_its_sign_change_between_adjacent_floats(lam, fraction):
+    beta = 1.0 / (fraction * lmg_meanfield_critical_temperature(lam))
+
+    def factor(m):
+        # the solver's 1 - tanh(beta u)/u, which shares its root with the fixed-point map
+        u = math.sqrt(lam * lam + m * m)
+        return 1.0 - math.tanh(beta * u) / u
+
+    m_x = lmg_meanfield_solve(beta, lam, 0.0).m_x
+    assume(0.0 < m_x < lmg._BRACKET_HI)  # a root, not pinned at saturation
+    assert factor(math.nextafter(m_x, 0.0)) < 0.0 <= factor(m_x)
 
 
 def test_meanfield_trivial_above_critical_line():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ellipk
+from scipy.special import ellipe, ellipk
 
 from thermofid import core, models
 from thermofid.core import ThermoPoint
@@ -133,6 +133,43 @@ def test_ising_energy_matches_onsager(coupling_j):
     energy = -(model.log_z(betas + h, 0.0) - model.log_z(betas - h, 0.0)) / (2.0 * h)
     exact = np.array([onsager_energy(b, coupling_j) for b in betas])
     assert np.abs(energy / exact - 1.0).max() < 2e-8
+
+
+def onsager_specific_heat(beta, coupling_j=1.0):
+    """Per-site Cv = -beta^2 dU/dbeta of onsager_energy, in closed form.
+
+    With y = 2bJ, U = -J [coth y + (2/pi)(2 tanh y - coth y) K(m)], where m is
+    the square of the modulus kappa = 2 sinh y / cosh^2 y, and
+    dK/dm = (E(m) - (1 - m) K(m)) / (2 m (1 - m)).
+    """
+    y = 2.0 * beta * coupling_j
+    tanh, sech, csch = math.tanh(y), 1.0 / math.cosh(y), 1.0 / math.sinh(y)
+    kappa = 2.0 * tanh * sech
+    m = kappa * kappa
+    k1, e1 = ellipk(m), ellipe(m)
+    dm_dy = 4.0 * kappa * sech * (sech * sech - tanh * tanh)
+    dk_dm = (e1 - (1.0 - m) * k1) / (2.0 * m * (1.0 - m))
+    du_dy = -coupling_j * (-csch * csch + 2.0 / math.pi * (
+        (2.0 * sech * sech + csch * csch) * k1 + (2.0 * tanh - 1.0 / tanh) * dk_dm * dm_dy))
+    return -2.0 * coupling_j * beta**2 * du_dy
+
+
+@pytest.mark.parametrize("t", [1.0, 1.5, 2.0, 2.16, 2.38, 2.6, 3.0, 4.0])
+def test_ising_specific_heat_stencil_error_is_onsagers_leading_term(t):
+    # T at least 0.1 from T_c = 2.269. The central difference of F = -T lnZ
+    # with h = delta_t/2 is F'' + h^2 F''''/12 + O(h^4), and Cv = -T F'', so
+    # the stencil's Cv errs by (T delta_t^2 / 48) (Cv/T)'' at leading order,
+    # as criterion 4b checks its own: slope 2 +- 0.1, coefficient within 1%.
+    # (Cv/T)'' comes from the closed form by a second difference in T.
+    eta = 1e-3
+    c = [onsager_specific_heat(1.0 / s) / s for s in (t - eta, t, t + eta)]
+    leading = t / 48.0 * (c[0] + c[2] - 2.0 * c[1]) / eta**2
+    deltas = np.array([0.02, 0.01, 0.005])
+    errors = np.array([core.specific_heat(Ising2D(), ThermoPoint(1.0 / t, 0.0), d)
+                       for d in deltas]) - onsager_specific_heat(1.0 / t)
+    slope = float(np.polyfit(np.log(deltas), np.log(np.abs(errors)), 1)[0])
+    assert abs(slope - 2.0) <= 0.1
+    assert np.abs(errors / deltas**2 / leading - 1.0).max() <= 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +418,10 @@ def test_two_level_ignores_lam():
     m = TwoLevel(gap=1.3)
     assert m.log_z(0.9, 0.0) == m.log_z(0.9, 5.0)
     assert m.log_z(0.9, 0.0) == pytest.approx(math.log(2 * math.cosh(1.17)), rel=1e-14)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="lam must be finite") as info:
+            m.log_z(0.9, lam)
+        assert info.value.key == "lam"
 
 
 def test_two_level_field_uses_lam_as_gap():
