@@ -514,8 +514,7 @@ def cmd_meanfield(lambdas, t_points=21):
     for lam in lambdas:
         tc = lmg.lmg_meanfield_critical_temperature(lam)
         for t in np.linspace(*_MEANFIELD_T_RANGE, t_points):
-            solution = lmg.lmg_meanfield_solve(1.0 / t, lam, gamma=0.0)
-            rows.append((lam, tc, float(t), solution.m_x))
+            rows.append((lam, tc, float(t), lmg.lmg_meanfield_m_x(1.0 / t, lam)))
     return rows
 
 

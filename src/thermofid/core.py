@@ -15,7 +15,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar, Protocol, runtime_checkable
+from typing import ClassVar, Protocol
 
 import numpy as np
 
@@ -73,7 +73,6 @@ def per_beta(evaluate, beta):
     return values
 
 
-@runtime_checkable
 class ThermoModel(Protocol):
     """Contract every model satisfies: a log-partition function plus metadata.
 

@@ -77,10 +77,7 @@ def _band_eigenvalues(diag, off):
     blocks = []
     for start in (0, 1):
         d = diag[start::2]
-        if d.size == 0:
-            continue
-        if d.size == 1:
-            blocks.append(d)
+        if d.size == 0:  # scipy rejects an empty block
             continue
         e = off[start::2][: d.size - 1]
         try:
@@ -206,49 +203,25 @@ class Lmg(ThermoModel):
 # finite-temperature mean field
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeanFieldSolution:
-    """Self-consistent magnetization with its free energy and selected branch."""
-
-    m_x: float
-    m_y: float
-    free_energy_per_spin: float
-    branch: str  # "m_x" | "m_y" | "trivial"
-
-
-def lmg_meanfield_residual(m_x, m_y, beta, lam, gamma):
-    """Residual pair (m_x - t m_x, m_y - t gamma m_y) of the self-consistency map.
-
-    t = tanh(beta u)/u with u = sqrt(lam^2 + m_x^2 + gamma^2 m_y^2); the
-    u -> 0 limit of t is beta.
-    """
-    check_positive("beta", beta)
-    u = math.sqrt(lam * lam + m_x * m_x + gamma * gamma * m_y * m_y)
-    t = beta if u == 0.0 else math.tanh(beta * u) / u
-    return (m_x - t * m_x, m_y - t * gamma * m_y)
-
-
-def lmg_meanfield_free_energy(m_x, m_y, beta, lam, gamma):
-    """Per-spin free energy (m_x^2 + gamma^2 m_y^2)/2 - T ln(2 cosh(beta u))."""
-    q = m_x * m_x + gamma * gamma * m_y * m_y
+def lmg_meanfield_free_energy(m_x, beta, lam):
+    """Per-spin free energy m_x^2/2 - T ln(2 cosh(beta u)), u = sqrt(lam^2 + m_x^2)."""
+    q = m_x * m_x
     u = math.sqrt(lam * lam + q)
     x = beta * u
     ln2cosh = abs(x) + math.log1p(math.exp(-2.0 * abs(x)))
     return 0.5 * q - ln2cosh / beta
 
 
-def lmg_meanfield_solve(beta, lam, gamma):
-    """Solve the gamma < 1 branch: bisection for m_x on [0, 1] to the last bit, m_y = 0.
+def lmg_meanfield_m_x(beta, lam):
+    """Self-consistent m_x, by bisection on [0, 1] to the last bit (m_y = 0 on this branch).
 
-    The nontrivial root exists exactly when T < lam/atanh(lam); otherwise the
-    trivial solution is returned. The branch is picked by free-energy
-    comparison.
+    The nontrivial root exists exactly when T < lam/atanh(lam). It is returned
+    only when its free energy is below the trivial solution's; otherwise, and
+    also where the gain rounds away just below T_c, the result is 0.
     """
     check_positive("beta", beta)
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise DomainError(f"lam must be >= 0 and finite, got {lam}")
-    if not 0.0 <= gamma < 1.0:
-        raise DomainError(f"supported branch needs gamma in [0, 1), got {gamma}")
 
     def factor(m):
         # m (1 - tanh(beta u)/u) shares the root m* with the fixed-point map;
@@ -257,21 +230,16 @@ def lmg_meanfield_solve(beta, lam, gamma):
         t = beta if u == 0.0 else math.tanh(beta * u) / u
         return 1.0 - t
 
-    m_x, lo, hi = 0.0, _BRACKET_LO, _BRACKET_HI
-    if factor(lo) < 0.0:
-        # down to adjacent floats with factor(lo) < 0 <= factor(hi); hi stays at
-        # _BRACKET_HI when the root is within 1e-9 of saturation (very low T, small lam)
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            lo, hi = (mid, hi) if factor(mid) < 0.0 else (lo, mid)
-        m_x = hi
-
-    f_branch = lmg_meanfield_free_energy(m_x, 0.0, beta, lam, gamma)
-    f_trivial = lmg_meanfield_free_energy(0.0, 0.0, beta, lam, gamma)
-    if m_x > 0.0 and f_branch < f_trivial:
-        return MeanFieldSolution(m_x=m_x, m_y=0.0,
-                                 free_energy_per_spin=f_branch, branch="m_x")
-    return MeanFieldSolution(m_x=0.0, m_y=0.0,
-                             free_energy_per_spin=f_trivial, branch="trivial")
+    lo, hi = _BRACKET_LO, _BRACKET_HI
+    if not factor(lo) < 0.0:
+        return 0.0
+    # down to adjacent floats with factor(lo) < 0 <= factor(hi); hi stays at
+    # _BRACKET_HI when the root is within 1e-9 of saturation (very low T, small lam)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if factor(mid) < 0.0 else (lo, mid)
+    if lmg_meanfield_free_energy(hi, beta, lam) < lmg_meanfield_free_energy(0.0, beta, lam):
+        return hi
+    return 0.0
 
 
 def lmg_meanfield_critical_temperature(lam):

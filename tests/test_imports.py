@@ -103,6 +103,23 @@ def test_the_one_scipy_import_is_lmgs_eigensolver():
     assert found == [("lmg._load_scipy", "scipy.linalg.eigh_tridiagonal")]
 
 
+def unused_imports(tree):
+    """Each name the module's imports bind, at any depth, that no expression reads."""
+    bound = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_every_module_uses_what_it_imports():
+    # an import kept alive only for an outside wrapper to replace is dead code
+    # in the module; the package __init__ imports to re-export, so is exempt
+    found = {path.stem: unused for path in sorted((ROOT / "src" / "thermofid").glob("*.py"))
+             if path.name != "__init__.py"
+             if (unused := unused_imports(ast.parse(path.read_text())))}
+    assert found == {}
+
+
 def scan_imports(tmp_path, workload, **overrides):
     """Modules a scan of workload's tiny configuration adds to sys.modules, after resolve."""
     return fresh(tmp_path, (

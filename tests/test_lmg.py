@@ -15,14 +15,14 @@ from scipy.special import logsumexp
 from thermofid import core, lmg
 from thermofid.core import LOG_DROP
 from thermofid.errors import DomainError
+from thermofid.exact import kubo_mori_metric
 from thermofid.lmg import (
     Lmg,
     _full_levels,
     lmg_build_matrix,
     lmg_meanfield_critical_temperature,
     lmg_meanfield_free_energy,
-    lmg_meanfield_residual,
-    lmg_meanfield_solve,
+    lmg_meanfield_m_x,
     log_sector_degeneracy,
     sector_degeneracy,
 )
@@ -305,42 +305,59 @@ def test_specific_heat_matches_spectral_oracle(n):
         assert abs(lead) < 1e-5 * cv
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("gamma,lam,beta", [(0.2, 0.5, 1.0), (0.7, 0.9, 1.3), (0.0, 0.3, 2.0)])
+def test_chi_stencil_error_is_kubo_mori_leading_term(n, gamma, lam, beta):
+    # beta chi = d2 lnZ/dlam2 is the Kubo-Mori metric of H along
+    # V = H(lam + 1) - H(lam), here from the 2^N dense spectrum. The stencil,
+    # h = delta_lambda/2 on F, errs by delta_lambda^2 / 48 times its second
+    # derivative in lam at leading order: slope 2 +- 0.1, coefficient within 1%
+    h0 = brute_hamiltonian(n, gamma, 0.0)
+    v = brute_hamiltonian(n, gamma, 1.0) - h0
+    eta = 1e-3
+    metric = [kubo_mori_metric(h0 + x * v, v, beta) for x in (lam - eta, lam, lam + eta)]
+    leading = (metric[0] + metric[2] - 2.0 * metric[1]) / eta**2 / 48.0
+    deltas = np.array([0.04, 0.02, 0.01])
+    errors = np.array([beta * core.susceptibility_lambda(Lmg(n, gamma), core.ThermoPoint(beta, lam),
+                                                         d) for d in deltas]) - metric[1]
+    slope = float(np.polyfit(np.log(deltas), np.log(np.abs(errors)), 1)[0])
+    assert abs(slope - 2.0) <= 0.1
+    assert np.abs(errors / deltas**2 / leading - 1.0).max() <= 0.01
+
+
 # ---------------------------------------------------------------------------
 # mean field
 # ---------------------------------------------------------------------------
 
-def test_residual_vs_single_spin_gibbs_oracle():
-    # decoupled-spin Hamiltonian -m_x sx - gamma m_y sy - lam sz: the map's
-    # output magnetization is the thermal expectation of (sx, sy)
+def single_spin_gibbs_m_x(m_x, beta, lam):
+    """<sx> in the Gibbs state of the decoupled spin -m_x sx - lam sz, from its dense spectrum."""
+    w, v = np.linalg.eigh(-m_x * SX - lam * SZ)
+    p = np.exp(-beta * (w - w.min()))
+    p /= p.sum()
+    return float(np.trace((v * p) @ v.T @ SX))
+
+
+def test_meanfield_m_x_is_its_own_gibbs_magnetization():
+    # below the line the solver's m_x reproduces itself as the decoupled
+    # spin's thermal <sx>; above it the only solution is m_x = 0. T stays at
+    # least 0.15 T_c, where the root is inside the bracket, and at least
+    # 1e-3 T_c from the line, where the ordered root's free-energy gain is
+    # far above rounding
     rng = np.random.default_rng(11)
     for _ in range(25):
-        m_x, m_y = rng.uniform(-0.9, 0.9, 2)
-        beta = rng.uniform(0.3, 4.0)
-        lam = rng.uniform(0.0, 1.2)
-        gamma = rng.uniform(0.0, 0.95)
-        h = -m_x * SX - gamma * m_y * SY - lam * SZ
-        w, v = np.linalg.eigh(h)
-        p = np.exp(-beta * (w - w.min()))
-        p /= p.sum()
-        rho = (v * p) @ v.conj().T
-        exp_x = float(np.trace(rho @ SX).real)
-        exp_y = float(np.trace(rho @ SY).real)
-        res = lmg_meanfield_residual(m_x, m_y, beta, lam, gamma)
-        assert res[0] == pytest.approx(m_x - exp_x, abs=1e-12)
-        assert res[1] == pytest.approx(m_y - exp_y, abs=1e-12)
-
-
-def test_residual_trivial_solution():
-    assert lmg_meanfield_residual(0.0, 0.0, 2.0, 0.0, 0.3) == (0.0, 0.0)
+        lam = rng.uniform(0.0, 0.99)
+        tc = lmg_meanfield_critical_temperature(lam)
+        below = 1.0 / (rng.uniform(0.15, 0.999) * tc)
+        m_x = lmg_meanfield_m_x(below, lam)
+        assert m_x > 0.0
+        assert abs(m_x - single_spin_gibbs_m_x(m_x, below, lam)) <= 1e-12
+        assert lmg_meanfield_m_x(1.0 / (rng.uniform(1.001, 2.0) * tc), lam) == 0.0
 
 
 def test_meanfield_solve_zero_field_root():
-    sol = lmg_meanfield_solve(2.0, 0.0, 0.0)
-    assert sol.branch == "m_x"
-    assert sol.m_y == 0.0
-    assert sol.m_x == pytest.approx(M_ROOT_T05, abs=1e-10)
-    res = lmg_meanfield_residual(sol.m_x, 0.0, 2.0, 0.0, 0.0)
-    assert abs(res[0]) < 1e-10
+    m_x = lmg_meanfield_m_x(2.0, 0.0)
+    assert m_x == pytest.approx(M_ROOT_T05, abs=1e-10)
+    assert abs(m_x - math.tanh(2.0 * m_x)) < 1e-10
 
 
 @EXAMPLES
@@ -353,7 +370,7 @@ def test_meanfield_root_brackets_its_sign_change_between_adjacent_floats(lam, fr
         u = math.sqrt(lam * lam + m * m)
         return 1.0 - math.tanh(beta * u) / u
 
-    m_x = lmg_meanfield_solve(beta, lam, 0.0).m_x
+    m_x = lmg_meanfield_m_x(beta, lam)
     assume(0.0 < m_x < lmg._BRACKET_HI)  # a root, not pinned at saturation
     assert factor(math.nextafter(m_x, 0.0)) < 0.0 <= factor(m_x)
 
@@ -361,41 +378,29 @@ def test_meanfield_root_brackets_its_sign_change_between_adjacent_floats(lam, fr
 def test_meanfield_trivial_above_critical_line():
     lam = 0.4
     tc = lmg_meanfield_critical_temperature(lam)
-    sol = lmg_meanfield_solve(1.0 / (tc * 1.05), lam, 0.2)
-    assert sol.branch == "trivial"
-    assert sol.m_x == 0.0
+    assert lmg_meanfield_m_x(1.0 / (tc * 1.05), lam) == 0.0
 
 
 def test_meanfield_nonzero_root_below_critical_line():
     lam = 0.4
-    tc = lmg_meanfield_critical_temperature(lam)
-    sol = lmg_meanfield_solve(1.0 / (0.9 * tc), lam, 0.2)
-    assert sol.branch == "m_x"
-    assert sol.m_x > 0.05
-    f_trivial = lmg_meanfield_free_energy(0.0, 0.0, 1.0 / (0.9 * tc), lam, 0.2)
-    assert sol.free_energy_per_spin < f_trivial
+    beta = 1.0 / (0.9 * lmg_meanfield_critical_temperature(lam))
+    m_x = lmg_meanfield_m_x(beta, lam)
+    assert m_x > 0.05
+    assert lmg_meanfield_free_energy(m_x, beta, lam) < lmg_meanfield_free_energy(0.0, beta, lam)
 
 
 def test_meanfield_order_parameter_monotone_and_continuous():
     lam = 0.3
     tc = lmg_meanfield_critical_temperature(lam)
     ts = np.linspace(0.2, tc * 0.999, 25)
-    ms = [lmg_meanfield_solve(1.0 / t, lam, 0.0).m_x for t in ts]
+    ms = [lmg_meanfield_m_x(1.0 / t, lam) for t in ts]
     assert all(b < a for a, b in zip(ms, ms[1:]))
     assert ms[-1] < 0.1  # second-order: vanishes approaching the line
 
 
-def test_meanfield_gamma_independent_on_supported_branch():
-    for t in (0.4, 0.7, 0.95):
-        sols = [lmg_meanfield_solve(1.0 / t, 0.3, g).m_x for g in (0.0, 0.2, 0.5)]
-        assert sols[0] == sols[1] == sols[2]
-
-
 def test_meanfield_solve_domain():
     with pytest.raises(DomainError):
-        lmg_meanfield_solve(1.0, 0.3, 1.0)
-    with pytest.raises(DomainError):
-        lmg_meanfield_solve(-1.0, 0.3, 0.0)
+        lmg_meanfield_m_x(-1.0, 0.3)
 
 
 def test_critical_temperature_endpoints_and_value():
@@ -409,8 +414,8 @@ def test_critical_temperature_endpoints_and_value():
 def test_critical_temperature_matches_solver_onset():
     lam = 0.6
     tc = lmg_meanfield_critical_temperature(lam)
-    assert lmg_meanfield_solve(1.0 / (tc * 0.999), lam, 0.0).m_x > 0.0
-    assert lmg_meanfield_solve(1.0 / (tc * 1.001), lam, 0.0).m_x == 0.0
+    assert lmg_meanfield_m_x(1.0 / (tc * 0.999), lam) > 0.0
+    assert lmg_meanfield_m_x(1.0 / (tc * 1.001), lam) == 0.0
 
 
 def test_catalog_model_metadata():

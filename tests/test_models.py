@@ -154,22 +154,36 @@ def onsager_specific_heat(beta, coupling_j=1.0):
     return -2.0 * coupling_j * beta**2 * du_dy
 
 
-@pytest.mark.parametrize("t", [1.0, 1.5, 2.0, 2.16, 2.38, 2.6, 3.0, 4.0])
-def test_ising_specific_heat_stencil_error_is_onsagers_leading_term(t):
-    # T at least 0.1 from T_c = 2.269. The central difference of F = -T lnZ
-    # with h = delta_t/2 is F'' + h^2 F''''/12 + O(h^4), and Cv = -T F'', so
-    # the stencil's Cv errs by (T delta_t^2 / 48) (Cv/T)'' at leading order,
-    # as criterion 4b checks its own: slope 2 +- 0.1, coefficient within 1%.
-    # (Cv/T)'' comes from the closed form by a second difference in T.
-    eta = 1e-3
-    c = [onsager_specific_heat(1.0 / s) / s for s in (t - eta, t, t + eta)]
-    leading = t / 48.0 * (c[0] + c[2] - 2.0 * c[1]) / eta**2
-    deltas = np.array([0.02, 0.01, 0.005])
-    errors = np.array([core.specific_heat(Ising2D(), ThermoPoint(1.0 / t, 0.0), d)
-                       for d in deltas]) - onsager_specific_heat(1.0 / t)
+def second_difference(f, x, eta=1e-3):
+    """f'' at x by a central second difference of f with step eta."""
+    return (f(x - eta) + f(x + eta) - 2.0 * f(x)) / eta**2
+
+
+def cv_leading_term(cv, t):
+    """The Cv stencil's error over delta_t^2 at leading order, from the exact Cv(beta).
+
+    The central difference of F = -T lnZ with h = delta_t/2 is
+    F'' + h^2 F''''/12 + O(h^4), and Cv = -T F'', so the stencil's Cv errs by
+    (T delta_t^2 / 48) (Cv/T)''. (Cv/T)'' is a second difference in T.
+    """
+    return t / 48.0 * second_difference(lambda s: cv(1.0 / s) / s, t)
+
+
+def assert_error_is_leading_term(deltas, errors, leading):
+    # errors = leading * delta^2 at leading order, as criterion 4b checks its
+    # own: log-log slope 2 +- 0.1, coefficient within 1%
     slope = float(np.polyfit(np.log(deltas), np.log(np.abs(errors)), 1)[0])
     assert abs(slope - 2.0) <= 0.1
     assert np.abs(errors / deltas**2 / leading - 1.0).max() <= 0.01
+
+
+@pytest.mark.parametrize("t", [1.0, 1.5, 2.0, 2.16, 2.38, 2.6, 3.0, 4.0])
+def test_ising_specific_heat_stencil_error_is_onsagers_leading_term(t):
+    # T at least 0.1 from T_c = 2.269
+    deltas = np.array([0.02, 0.01, 0.005])
+    errors = np.array([core.specific_heat(Ising2D(), ThermoPoint(1.0 / t, 0.0), d)
+                       for d in deltas]) - onsager_specific_heat(1.0 / t)
+    assert_error_is_leading_term(deltas, errors, cv_leading_term(onsager_specific_heat, t))
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +225,52 @@ def test_tim_specific_heat_matches_reference_pipeline():
     cv_ref = -t * (f(t + h) + f(t - h) - 2.0 * f(t)) / h**2
     cv = core.specific_heat(Tim1D(), ThermoPoint(1.0 / t, lam), delta_t)
     assert cv == pytest.approx(cv_ref, abs=1e-6)
+
+
+def tim_mode_integral(integrand, beta, lam):
+    """(1/pi) times the integral over [0, pi] of integrand(b, l, eps, k) dk, in mpmath.
+
+    eps = sqrt(1 + l^2 - 2 l cos k) is the mode energy at J = 1.
+    """
+    with mpmath.workdps(20):
+        b, l = mpmath.mpf(beta), mpmath.mpf(lam)
+        return float(mpmath.quad(
+            lambda k: integrand(b, l, mpmath.sqrt(1 + l * l - 2 * l * mpmath.cos(k)), k),
+            [0, mpmath.pi]) / mpmath.pi)
+
+
+def tim_cv(beta, lam):
+    """Per-site Cv = beta^2 d2 lnZ/dbeta2 = (beta^2/pi) integral eps^2 sech^2(beta eps) dk."""
+    return tim_mode_integral(lambda b, l, e, k: (b * e * mpmath.sech(b * e))**2, beta, lam)
+
+
+def tim_chi(beta, lam):
+    """Per-site chi = (1/beta) d2 lnZ/dlam2, differentiated under the integral.
+
+    With eps_lam = (lam - cos k)/eps and eps_lamlam = sin^2 k / eps^3, it is
+    (1/pi) integral [beta eps_lam^2 sech^2(beta eps) + tanh(beta eps) sin^2 k / eps^3] dk.
+    """
+    return tim_mode_integral(
+        lambda b, l, e, k: (b * ((l - mpmath.cos(k)) / e * mpmath.sech(b * e))**2
+                            + mpmath.tanh(b * e) * mpmath.sin(k)**2 / e**3), beta, lam)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+@pytest.mark.parametrize("t", [0.3, 0.7, 1.5])
+def test_tim_cv_and_chi_stencil_errors_are_mode_integral_leading_terms(lam, t):
+    # Cv and chi as mode integrals, with no stencil (Pfeuty 1970). The chi
+    # stencil, h = delta_lambda/2 on F, errs by (delta_lambda^2/48) chi''.
+    # delta stays >= 0.01: at 0.005 the chi error at lam = T = 1.5 reaches
+    # the second difference's rounding floor
+    deltas = np.array([0.04, 0.02, 0.01])
+    point = ThermoPoint(1.0 / t, lam)
+    errors = (np.array([core.specific_heat(Tim1D(), point, d) for d in deltas])
+              - tim_cv(1.0 / t, lam))
+    assert_error_is_leading_term(deltas, errors, cv_leading_term(lambda b: tim_cv(b, lam), t))
+    errors = (np.array([core.susceptibility_lambda(Tim1D(), point, d) for d in deltas])
+              - tim_chi(1.0 / t, lam))
+    leading = second_difference(lambda x: tim_chi(1.0 / t, x), lam) / 48.0
+    assert_error_is_leading_term(deltas, errors, leading)
 
 
 def test_tim_even_in_field():
@@ -431,6 +491,37 @@ def test_two_level_field_uses_lam_as_gap():
     with pytest.raises(DomainError, match="lam must be finite") as info:
         m.log_z(2.0, math.nan)
     assert info.value.key == "lam"
+
+
+def spectral_cv(h, beta):
+    """beta^2 Var H in the Gibbs state of h, from its eigvalsh spectrum."""
+    w = np.linalg.eigvalsh(h)
+    p = np.exp(-beta * (w - w[0]))
+    p /= p.sum()
+    return beta**2 * float(p @ (w - p @ w)**2)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5, 0.8336, 1.5, 3.0])
+def test_two_level_cv_stencil_error_is_spectral_leading_term(t):
+    # Cv = (beta gap)^2 sech^2(beta gap) at gap 1, whose peak is at T = 0.8336
+    def cv(beta):
+        return (beta / math.cosh(beta))**2
+
+    deltas = np.array([0.04, 0.02, 0.01])
+    errors = np.array([core.specific_heat(TwoLevel(), ThermoPoint(1.0 / t, 0.0), d)
+                       for d in deltas]) - cv(1.0 / t)
+    assert_error_is_leading_term(deltas, errors, cv_leading_term(cv, t))
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 2.0, 4.0])
+def test_dense_model_cv_stencil_error_is_spectral_leading_term(t):
+    # the 3-site chain at lam = 1, against beta^2 Var H over its 8 levels
+    h = spin_chain_hamiltonian(3, 1.0, 1.0)
+    model = DenseModel(lambda lam: spin_chain_hamiltonian(3, 1.0, lam), "chain3")
+    deltas = np.array([0.04, 0.02, 0.01])
+    errors = np.array([core.specific_heat(model, ThermoPoint(1.0 / t, 1.0), d)
+                       for d in deltas]) - spectral_cv(h, 1.0 / t)
+    assert_error_is_leading_term(deltas, errors, cv_leading_term(lambda b: spectral_cv(h, b), t))
 
 
 def test_model_metadata():
