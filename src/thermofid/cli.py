@@ -94,13 +94,13 @@ def _check_keys(cfg, known, path):
             raise ConfigError(f"{path}.{key}" if path else key, "unknown configuration key")
 
 
-def build_model(cfg, path="model"):
+def build_model(cfg):
     if not isinstance(cfg, dict):
-        raise ConfigError(path, "must be an object")
-    name = _require(cfg, "name", str, path)
+        raise ConfigError("model", "must be an object")
+    name = _require(cfg, "name", str, "model")
     cls = MODEL_CLASSES.get(name)
     if cls is None:
-        raise ConfigError(f"{path}.name",
+        raise ConfigError("model.name",
                           f"unknown model {name!r}; choose from {sorted(MODEL_CLASSES)}")
     valid = {f.name: f.type for f in dataclasses.fields(cls)}
     params = {}
@@ -108,18 +108,18 @@ def build_model(cfg, path="model"):
         if key == "name":
             continue
         if key not in valid:
-            raise ConfigError(f"{path}.{key}", f"unknown parameter for model {name!r}")
-        value = _require(cfg, key, float, path)
+            raise ConfigError(f"model.{key}", f"unknown parameter for model {name!r}")
+        value = _require(cfg, key, float, "model")
         if valid[key] in (int, "int"):
             if not value.is_integer():
-                raise ConfigError(f"{path}.{key}", f"must be an integer, got {value}")
+                raise ConfigError(f"model.{key}", f"must be an integer, got {value}")
             value = int(value)
         params[key] = value
     try:
         return cls(**params)
     except (DomainError, TypeError) as exc:
         key = getattr(exc, "key", None)
-        raise ConfigError(f"{path}.{key}" if key else path, str(exc)) from exc
+        raise ConfigError(f"model.{key}" if key else "model", str(exc)) from exc
 
 
 def _numbers(values):
@@ -157,13 +157,13 @@ def build_axis(spec, path):
     raise ConfigError(path, "must be a list or a range object")
 
 
-def build_grid(cfg, path="grid"):
+def build_grid(cfg):
     if not isinstance(cfg.get("grid"), dict):
-        raise ConfigError(path, "missing or not an object")
+        raise ConfigError("grid", "missing or not an object")
     grid_cfg = cfg["grid"]
-    _check_keys(grid_cfg, ("lambda", "t"), path)
-    lam_axis = build_axis(_require(grid_cfg, "lambda", (list, dict), path), f"{path}.lambda")
-    t_axis = build_axis(_require(grid_cfg, "t", (list, dict), path), f"{path}.t")
+    _check_keys(grid_cfg, ("lambda", "t"), "grid")
+    lam_axis = build_axis(_require(grid_cfg, "lambda", (list, dict), "grid"), "grid.lambda")
+    t_axis = build_axis(_require(grid_cfg, "t", (list, dict), "grid"), "grid.t")
     delta_t = _require(cfg, "delta_t", float, "")
     delta_lambda = _require(cfg, "delta_lambda", float, "", default=None)
     return scan.ScanGrid(lam_axis, t_axis, delta_t, delta_lambda)
@@ -189,7 +189,7 @@ def resolve_scan_config(cfg):
                   if name in fields}
     _check_keys(detect, ("minima", "jumps", "jump_threshold"), "detect")
     detect = dict(detect, jump_threshold=_require(detect, "jump_threshold", float, "detect",
-                                                  default=20.0))
+                                                  default=scan.JUMP_THRESHOLD))
     for mode in ("minima", "jumps"):
         target = _require(detect, mode, str, "detect", default=None)
         if target is not None and target not in fields:
@@ -276,7 +276,7 @@ def write_line_csv(path, line):
     with open(path, "w") as fh:
         fh.write("lambda,T_c,detection,classification\n")
         for lam, tc in line.points:
-            fh.write(f"{_fmt(lam)},{_fmt(tc)},{line.detection},{line.classification}\n")
+            fh.write(f"{_fmt(lam)},{_fmt(tc)},{line.detection},{scan.UNDETERMINED}\n")
 
 
 def read_field_csv(path):
@@ -508,7 +508,7 @@ def cmd_validate():
 # meanfield subcommand
 # ---------------------------------------------------------------------------
 
-def cmd_meanfield(lambdas, t_points=21):
+def cmd_meanfield(lambdas, t_points):
     """Rows (lam, T_c, T, m_x) for each requested lam over a temperature ladder."""
     rows = []
     for lam in lambdas:
@@ -540,7 +540,7 @@ def cmd_boundary(config_path):
     output = _require(cfg, "output", str, "", default="boundary.csv")
     if not output:
         raise ConfigError("output", "must be a non-empty string")
-    threshold = _require(cfg, "jump_threshold", float, "", default=20.0)
+    threshold = _require(cfg, "jump_threshold", float, "", default=scan.JUMP_THRESHOLD)
     try:
         core.check_positive("jump_threshold", threshold)
     except DomainError as exc:

@@ -1,7 +1,7 @@
 """Model-agnostic thermodynamics kernel.
 
-Turns any log-partition function lnZ(beta, lam) into free energies,
-finite-difference response functions, and temperature/field fidelities.
+Turns any log-partition function lnZ(beta, lam) into finite-difference
+response functions and temperature/field fidelities.
 Partition functions are handled exclusively in log space; every fidelity
 ratio is a difference of logs exponentiated at the end, so systems whose
 Z overflows double precision still evaluate cleanly.
@@ -37,14 +37,14 @@ def check_positive(key, value):
     return value
 
 
-def check_uniform(values, key, min_size=2):
-    """values as a float array once it holds at least min_size (>= 2) evenly increasing entries."""
+def check_uniform(values, key):
+    """values as a float array once it holds at least 2 finite, evenly increasing entries."""
     axis = np.asarray(values, dtype=float)
     steps = np.diff(axis)
-    if (axis.size < min_size or not np.all(steps > 0.0)
+    if (axis.size < 2 or not np.all(np.isfinite(axis)) or not np.all(steps > 0.0)
             or steps.max() - steps.min() > 1e-9 * steps.max()):
-        raise DomainError(f"{key} must be uniformly spaced and increasing, with at least "
-                          f"{min_size} values", key=key)
+        raise DomainError(f"{key} must be finite, uniformly spaced and increasing, with at "
+                          f"least 2 values", key=key)
     return axis
 
 
@@ -152,11 +152,6 @@ def warn_if_large_steps(t_min, lam_min, delta_t, delta_lambda):
                       stacklevel=2)
 
 
-def delta_beta(temperature, delta_t):
-    """Inverse-temperature shift produced by a temperature shift delta_t."""
-    return delta_t / (temperature * (temperature + delta_t))
-
-
 def log_z(model, beta, lam):
     """model.log_z at a checked beta: NaN where non-finite, or EvaluationError for a float beta."""
     check_positive("beta", beta)
@@ -196,11 +191,6 @@ def _second_difference(a, b, c, context):
 def _fidelity(z_mid, z0, z1):
     # the symmetric combination keeps F(x0, x1) == F(x1, x0) bitwise
     return np.exp(z_mid - 0.5 * (z0 + z1))
-
-
-def free_energy(model, point):
-    """Free energy F = -lnZ(beta, lam) / beta."""
-    return -log_z(model, point.beta, point.lam) / point.beta
 
 
 def fidelity_beta_stencil(beta0, beta1, lam):
@@ -286,16 +276,3 @@ def fidelity_lambda_approx(model, beta, lam0, lam1):
     """
     return evaluate(model, (((beta, 0.5 * (lam0 + lam1)), (beta, lam0), (beta, lam1)), _fidelity))
 
-
-def log_z_convexity_defect(model, betas, lam):
-    """Most negative scaled second difference of lnZ over a uniform beta grid.
-
-    Returns min_i (lnZ[i+1] + lnZ[i-1] - 2 lnZ[i]) / max(|lnZ[i]|, 1); a value
-    >= -1e-8 certifies discrete convexity of lnZ in beta (Var(H) >= 0), which
-    in turn guarantees fidelity_beta <= 1. It is NaN, certifying nothing, when
-    an lnZ evaluation fails.
-    """
-    betas = check_uniform(betas, "betas", min_size=3)
-    z = log_z(model, betas, lam)
-    d2 = z[2:] + z[:-2] - 2.0 * z[1:-1]
-    return float(np.min(d2 / np.maximum(np.abs(z[1:-1]), 1.0)))

@@ -20,7 +20,6 @@ TRACE_TOL = 1e-12
 NEGATIVE_EIG_TOL = 1e-10
 
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
@@ -180,11 +179,6 @@ def spin_chain_hamiltonian(n_sites, coupling_j, lam):
     for i in range(n_sites):
         h -= lam * _site_operator(sigma_x, i, n_sites)
     return h
-
-
-def single_spin_field_hamiltonian(lam, transverse=0.3):
-    """One spin in a longitudinal field lam with a fixed transverse component."""
-    return -lam * sigma_z.real - transverse * sigma_x.real
 
 
 @dataclass(frozen=True)

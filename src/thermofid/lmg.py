@@ -87,23 +87,6 @@ def _band_eigenvalues(diag, off):
     return np.concatenate(blocks)
 
 
-def lmg_build_matrix(n_spins, gamma, lam):
-    """Dense symmetric (N+1)x(N+1) matrix in the |S=N/2, m> basis, m = -S..S.
-
-    Nonzero entries sit on the diagonal and the second off-diagonals only:
-    the field and isotropic parts are diagonal, the anisotropic part couples
-    m to m +- 2.
-    """
-    diag, off = _sector_bands(0.5 * n_spins, n_spins, gamma, lam)
-    dim = n_spins + 1
-    mat = np.zeros((dim, dim))
-    mat[np.arange(dim), np.arange(dim)] = diag
-    idx = np.arange(dim - 2)
-    mat[idx, idx + 2] = off
-    mat[idx + 2, idx] = off
-    return mat
-
-
 def sector_degeneracy(n_spins, sector_spin):
     """The number g(N, S) = C(N, k) - C(N, k - 1), k = N/2 - S, of spin-S multiplets, exactly."""
     k = 0.5 * n_spins - sector_spin
@@ -113,14 +96,9 @@ def sector_degeneracy(n_spins, sector_spin):
     return math.comb(n_spins, k) - (math.comb(n_spins, k - 1) if k else 0)
 
 
-def log_sector_degeneracy(n_spins, sector_spin):
-    """ln g(N, S), from the exact integer: within about 1 ulp of the true logarithm."""
-    return math.log(sector_degeneracy(n_spins, sector_spin))
-
-
 @lru_cache(maxsize=32)
 def _full_levels(n_spins, gamma, lam):
-    """Energies of every sector, S = N/2 first, plus each level's log-degeneracy weight."""
+    """Energies of every sector, S = N/2 first, plus each level's weight ln g(N, S)."""
     energies = []
     weights = []
     n_sectors = n_spins // 2 + 1
@@ -129,7 +107,7 @@ def _full_levels(n_spins, gamma, lam):
         diag, off = _sector_bands(s, n_spins, gamma, lam)
         e = _band_eigenvalues(diag, off)
         energies.append(e)
-        weights.append(np.full(e.size, log_sector_degeneracy(n_spins, s)))
+        weights.append(np.full(e.size, math.log(sector_degeneracy(n_spins, s))))
     return np.concatenate(energies), np.concatenate(weights)
 
 

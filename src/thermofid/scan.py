@@ -41,6 +41,9 @@ TYPE_B = "TypeB"
 CROSSOVER = "Crossover"
 UNDETERMINED = "Undetermined"
 
+# locate_jumps flags a T step above this multiple of its column's median step
+JUMP_THRESHOLD = 20.0
+
 # classify_transition's decision thresholds; its docstring gives the role of each
 GROWTH_FACTOR = 3.0
 STEP_GROWTH_FACTOR = 1.5
@@ -111,11 +114,10 @@ class ScanField:
 
 @dataclass(frozen=True)
 class CriticalLine:
-    """Extracted (lam, T_c) points with how they were detected and classified."""
+    """Extracted (lam, T_c) points with how they were detected."""
 
     points: tuple
     detection: str  # "minimum" | "jump"
-    classification: str = UNDETERMINED
 
 
 def _stencils(fields, lam, t_axis, delta_t, delta_lambda):
@@ -257,7 +259,7 @@ def locate_minima(field):
     return CriticalLine(tuple(points), "minimum")
 
 
-def locate_jumps(field, jump_threshold=20.0):
+def locate_jumps(field, jump_threshold=JUMP_THRESHOLD):
     """Flag discrete T-derivatives exceeding jump_threshold times the column median.
 
     Returns one point per lam column: the step-magnitude-weighted centroid of

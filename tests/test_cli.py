@@ -273,6 +273,8 @@ def test_boundary_round_trip(tmp_path, capsys):
     expected = scan.locate_minima(field)
     lines = (tmp_path / "line.csv").read_text().strip().splitlines()
     assert lines[0] == "lambda,T_c,detection,classification"
+    # a detected line is not classified: the classifier reports to report.json
+    assert all(row.endswith(",minimum,Undetermined") for row in lines[1:])
     got = [tuple(float(x) for x in row.split(",")[:2]) for row in lines[1:]]
     assert got == [(lam, pytest.approx(tc, abs=1e-12)) for lam, tc in expected.points]
 

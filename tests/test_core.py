@@ -16,6 +16,8 @@ from thermofid.core import ThermoPoint
 from thermofid.errors import DomainError, EvaluationError, QuadratureError, StepTooSmall
 from thermofid.models import Tim1D, TwoLevel, TwoLevelField
 
+from oracles import log_z_convexity_defect
+
 F_TWO_LEVEL = -1.1269280110429725        # -ln(2 cosh 1)
 FID_BETA_TWO_LEVEL = 0.9982028549727356  # cosh(1.1)/sqrt(cosh(1) cosh(1.2))
 SCHOTTKY_CV = 0.4199743416140261         # sech^2(1)
@@ -57,13 +59,9 @@ def test_warn_if_large_steps():
         core.warn_if_large_steps(1.0, 0.0, 1e-3, None)
 
 
-def test_delta_beta_identity():
-    t, dt = 0.7, 0.003
-    assert core.delta_beta(t, dt) == pytest.approx(1.0 / t - 1.0 / (t + dt), rel=1e-14)
-
-
 def test_free_energy_two_level():
-    assert core.free_energy(TwoLevel(), ThermoPoint(1.0, 0.0)) == pytest.approx(
+    # F = -lnZ / beta at beta = 1
+    assert -core.log_z(TwoLevel(), 1.0, 0.0) == pytest.approx(
         F_TWO_LEVEL, abs=1e-12
     )
 
@@ -71,13 +69,22 @@ def test_free_energy_two_level():
 def test_free_energy_continuous_in_t():
     model = TwoLevel()
     ts = np.linspace(0.5, 2.0, 200)
-    f = np.array([core.free_energy(model, ThermoPoint(1.0 / t, 0.0)) for t in ts])
+    f = -core.log_z(model, 1.0 / ts, 0.0) * ts
     assert np.abs(np.diff(f)).max() < 0.02
 
 
 def test_free_energy_propagates_nonfinite():
     with pytest.raises(EvaluationError):
-        core.free_energy(_NanModel(), ThermoPoint(1.0, 0.0))
+        core.log_z(_NanModel(), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("values", [[0.0, 1.0, 2.0, math.inf], [-math.inf, 0.0, 1.0],
+                                    [0.0, math.nan, 2.0]])
+def test_check_uniform_rejects_non_finite_entries(values):
+    # an infinite end passes the spread test on its own: inf - 1 > 1e-9 * inf is False
+    with pytest.raises(DomainError, match="finite") as info:
+        core.check_uniform(values, "t_axis")
+    assert info.value.key == "t_axis"
 
 
 def test_fidelity_beta_equal_args_exactly_one():
@@ -100,7 +107,7 @@ def test_fidelity_beta_symmetric(pair):
 def test_fidelity_beta_at_most_one_for_convex_lnz():
     model = Tim1D()
     betas = np.linspace(0.4, 2.0, 9)
-    assert core.log_z_convexity_defect(model, betas, 0.8) >= -1e-8
+    assert log_z_convexity_defect(model, betas, 0.8) >= -1e-8
     for b0 in betas[::3]:
         for b1 in betas[1::3]:
             assert core.fidelity_beta(model, b0, b1, 0.8) <= 1.0 + 1e-12
@@ -209,8 +216,8 @@ def test_susceptibility_lambda_symmetric_point_matches_folded_form():
     # one-sided estimate 2[F(h) - F(0)] / h^2
     model = TwoLevelField()
     h = 5e-4
-    f0 = core.free_energy(model, ThermoPoint(1.0, 0.0))
-    fp = core.free_energy(model, ThermoPoint(1.0, h))
+    f0 = -core.log_z(model, 1.0, 0.0)  # F = -lnZ / beta at beta = 1
+    fp = -core.log_z(model, 1.0, h)
     folded = -2.0 * (fp - f0) / h**2
     central = core.susceptibility_lambda(model, ThermoPoint(1.0, 0.0), 2 * h)
     assert central == pytest.approx(folded, rel=1e-12)
@@ -269,7 +276,7 @@ def test_attenuation_reparametrization():
     delta_t = 1e-3 * t
     beta = 1.0 / t
     cv = core.specific_heat(model, ThermoPoint(beta, lam), delta_t)
-    dbeta = core.delta_beta(t, delta_t)
+    dbeta = delta_t / (t * (t + delta_t))
     form_beta = math.exp(-dbeta**2 * cv / (8.0 * beta**2))
     form_t = math.exp(-delta_t**2 * cv / (8.0 * t**2))
     assert abs(form_t - form_beta) / form_beta < 1e-4
@@ -278,12 +285,12 @@ def test_attenuation_reparametrization():
 def test_convexity_defect_input_validation():
     model = TwoLevel()
     with pytest.raises(DomainError):
-        core.log_z_convexity_defect(model, [1.0, 2.0], 0.0)
+        log_z_convexity_defect(model, [1.0, 2.0], 0.0)
     with pytest.raises(DomainError):
-        core.log_z_convexity_defect(model, [1.0, 1.5, 2.5], 0.0)
+        log_z_convexity_defect(model, [1.0, 1.5, 2.5], 0.0)
 
 
 def test_convexity_defect_catalog_models():
     betas = np.linspace(0.3, 2.1, 10)
     for model, lam in ((TwoLevel(), 0.0), (TwoLevelField(), 0.7), (Tim1D(), 0.5)):
-        assert core.log_z_convexity_defect(model, betas, lam) >= -1e-8
+        assert log_z_convexity_defect(model, betas, lam) >= -1e-8

@@ -16,7 +16,6 @@ from thermofid.exact import (
     kubo_mori_metric,
     sigma_x,
     sigma_z,
-    single_spin_field_hamiltonian,
     spectral_norm,
     spin_chain_hamiltonian,
     trotter_bound,
@@ -25,6 +24,11 @@ from thermofid.exact import (
 
 GIBBS_POPS = (0.8807970779778824, 0.11920292202211756)  # (e, 1/e)/(e + 1/e)
 BHATTACHARYYA = 0.8944271909999159                      # sqrt(.45) + sqrt(.05)
+
+
+def single_spin_field_hamiltonian(lam, transverse=0.3):
+    """One spin in a longitudinal field lam with a fixed transverse component."""
+    return -lam * sigma_z.real - transverse * sigma_x.real
 
 
 def random_hermitian(rng, dim):

@@ -1,13 +1,16 @@
 """What a cold start imports: scipy only for the models that call it, and nothing mid-scan.
 
-Each test runs in a fresh interpreter, because the test process itself has
-long since imported scipy through other tests.
+Each import test runs in a fresh interpreter, because the test process itself
+has long since imported scipy through other tests. The source checks at the
+end read the package's syntax trees: every import and every module-level name
+has a reader.
 """
 
 import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -171,3 +174,43 @@ def test_outside_patches_survive_the_lazy_scipy_load(tmp_path, read_first):
         "print(json.dumps(calls))"))
     assert calls["eigh_tridiagonal"] > 0
     assert calls["logsumexp"] == 1
+
+
+def module_level_names(tree):
+    """Each non-dunder name a module's top-level def, class or assignment binds."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def names_without_reader(package, readme):
+    """module.name for each module-level name that nothing in the package reads.
+
+    A read is a name, an attribute or a string constant (as in getattr tables
+    such as scan._FIELDS) anywhere in the package. A name the package
+    __init__ exports, or that the README names, is API, read from outside.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = {alias.name for node in ast.walk(trees["__init__"])
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read |= set(re.findall(r"\w+", readme))
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in module_level_names(tree) - read)
+
+
+def test_every_module_level_name_has_a_reader():
+    # a library function only tests call belongs in those tests
+    found = names_without_reader(ROOT / "src" / "thermofid", (ROOT / "README.md").read_text())
+    assert found == []

@@ -7,7 +7,7 @@ for any lnZ convex in beta:
   - 4 beta^2 chi_beta ~ Cv and 4 chi_lambda / beta ~ chi, to the 1e-2 that
     `thermofid validate` uses, at dT/T = dlam = 1e-3: each pair is two second
     differences of the same lnZ;
-  - log_z_convexity_defect certifies convexity in beta.
+  - oracles.log_z_convexity_defect certifies convexity in beta.
 The square-lattice Ising boxes leave out T_c = 2.269, where the O(dT) offset
 between the Cv and chi_beta stencils is not small against the log divergence.
 """
@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from thermofid import core
 from thermofid.lmg import Lmg
 from thermofid.models import Dicke, Ising2D, Tim1D, TwoLevel, TwoLevelField
+
+from oracles import log_z_convexity_defect
 
 # (model, T range, lam range)
 CASES = (
@@ -83,4 +85,4 @@ def test_log_z_convexity_certified(case, u0, u1, v):
     if t_hi - t_lo < 1e-3 * t_hi:
         t_lo, t_hi = t_range
     betas = np.linspace(1.0 / t_hi, 1.0 / t_lo, 6)
-    assert core.log_z_convexity_defect(model, betas, _at(lam_range, v)) >= -1e-8
+    assert log_z_convexity_defect(model, betas, _at(lam_range, v)) >= -1e-8

@@ -19,11 +19,10 @@ from thermofid.exact import kubo_mori_metric
 from thermofid.lmg import (
     Lmg,
     _full_levels,
-    lmg_build_matrix,
+    _sector_bands,
     lmg_meanfield_critical_temperature,
     lmg_meanfield_free_energy,
     lmg_meanfield_m_x,
-    log_sector_degeneracy,
     sector_degeneracy,
 )
 
@@ -72,34 +71,34 @@ def test_params_validation():
 
 
 def test_matrix_is_banded_and_symmetric():
-    mat = lmg_build_matrix(6, 0.3, 0.4)
-    assert np.array_equal(mat, mat.T)
-    for i in range(7):
-        for j in range(7):
-            if abs(i - j) not in (0, 2):
-                assert mat[i, j] == 0.0
+    # a spin-S block has 2S + 1 diagonal entries and 2S - 1 step-2 ones, for
+    # integer and half-integer S
+    for n, s in ((6, 3.0), (6, 0.0), (5, 2.5), (5, 0.5)):
+        diag, off = _sector_bands(s, n, 0.3, 0.4)
+        assert diag.shape == (int(2 * s) + 1,)
+        assert off.shape == (max(int(2 * s) - 1, 0),)
 
 
 def test_matrix_entries_explicit():
     n, gamma, lam = 4, 0.3, 0.7
-    mat = lmg_build_matrix(n, gamma, lam)
+    diag, off = _sector_bands(n / 2.0, n, gamma, lam)
     s = n / 2.0
     c = s * (s + 1.0)
     for idx in range(n + 1):
         m = idx - s
         expected = -(1 + gamma) / n * (c - m * m - n / 2.0) - 2.0 * lam * m
-        assert mat[idx, idx] == pytest.approx(expected, rel=1e-14)
+        assert diag[idx] == pytest.approx(expected, rel=1e-14)
     for idx in range(n - 1):
         m = idx - s
         expected = -(1 - gamma) / (2.0 * n) * math.sqrt(
             (c - m * (m + 1)) * (c - (m + 1) * (m + 2))
         )
-        assert mat[idx, idx + 2] == pytest.approx(expected, rel=1e-14)
+        assert off[idx] == pytest.approx(expected, rel=1e-14)
 
 
 def test_gamma_one_matrix_is_diagonal():
-    mat = lmg_build_matrix(5, 1.0, 0.3)
-    assert np.abs(mat - np.diag(np.diag(mat))).max() == 0.0
+    _, off = _sector_bands(2.5, 5, 1.0, 0.3)
+    assert np.all(off == 0.0)
 
 
 def test_two_spin_sector_matches_tensor_oracle():
@@ -120,7 +119,10 @@ def test_two_spin_sector_matches_tensor_oracle():
 
 
 def test_sector_spectrum_matches_dense_eigh():
-    dense = np.sort(np.linalg.eigvalsh(lmg_build_matrix(30, 0.4, 0.6)))
+    # the S = N/2 block in the |S, m> basis, m = -S..S, dense from its bands: the
+    # field and isotropic parts are diagonal, the anisotropic part couples m to m +- 2
+    diag, off = _sector_bands(15.0, 30, 0.4, 0.6)
+    dense = np.sort(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 2) + np.diag(off, -2)))
     assert np.allclose(sector_energies(30, 0.4, 0.6), dense, atol=1e-10)
 
 
@@ -145,12 +147,9 @@ def test_full_trace_matches_brute_force(n, gamma, lam, beta):
 
 
 def test_degeneracies_sum_to_hilbert_dimension():
+    # each level carries its sector's weight ln g, so the weights count 2^N states
     n = 9
-    total = 0.0
-    for k in range(n // 2 + 1):
-        s = 0.5 * n - k
-        dim = int(round(2 * s)) + 1
-        total += dim * math.exp(log_sector_degeneracy(n, s))
+    total = float(np.exp(_full_levels(n, 0.2, 0.5)[1]).sum())
     assert total == pytest.approx(2.0**n, rel=1e-12)
 
 
@@ -165,7 +164,7 @@ def test_degeneracy_rejects_a_spin_the_size_cannot_have():
     # S runs over N/2, N/2 - 1, ... down to 0 or 1/2
     for n, s in ((3, 0.0), (4, 0.5), (4, 0.3), (4, -1.0), (4, 3.0), (4, math.nan)):
         with pytest.raises(DomainError, match="no spin"):
-            log_sector_degeneracy(n, s)
+            sector_degeneracy(n, s)
 
 
 @pytest.mark.parametrize("n", [2, 3, 30, 800, 801])
@@ -174,7 +173,7 @@ def test_log_degeneracy_within_two_ulp_of_mpmath(n):
     with mpmath.workdps(30):
         for k in range(n // 2 + 1):
             exact = mpmath.log(mpmath.binomial(n, k) - (mpmath.binomial(n, k - 1) if k else 0))
-            value = log_sector_degeneracy(n, 0.5 * n - k)
+            value = math.log(sector_degeneracy(n, 0.5 * n - k))
             assert abs(mpmath.mpf(value) - exact) <= 2 * math.ulp(value), (n, k)
 
 

@@ -1,5 +1,6 @@
 """Catalog models against independent reference quadratures and closed forms."""
 
+import functools
 import math
 
 import mpmath
@@ -26,6 +27,8 @@ from thermofid.models import (
     ising2d_k,
     log_2cosh,
 )
+
+from oracles import log_z_convexity_defect
 
 BJ_STAR = 0.44068679350977147       # root of sinh(2x) = 1, by bisection
 ISING_TC = 2.269185314213022        # 2 / ln(1 + sqrt 2)
@@ -111,7 +114,7 @@ def test_ising_k_rejects_nan_coupling():
 
 def test_ising_convex_in_beta():
     betas = np.linspace(0.2, 0.9, 8)
-    assert core.log_z_convexity_defect(Ising2D(), betas, 0.0) >= -1e-8
+    assert log_z_convexity_defect(Ising2D(), betas, 0.0) >= -1e-8
 
 
 def onsager_energy(beta, coupling_j=1.0):
@@ -302,7 +305,7 @@ def test_tim_per_site_cv_size_independent():
 
 def test_tim_convex_in_beta():
     betas = np.linspace(0.3, 2.1, 10)
-    assert core.log_z_convexity_defect(Tim1D(), betas, 1.0) >= -1e-8
+    assert log_z_convexity_defect(Tim1D(), betas, 1.0) >= -1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +403,28 @@ def test_dicke_peak_leaves_zero_exactly_below_critical_temperature(omega, omega0
     assert (u_peak > 0.0) == below
 
 
+def _mp_dicke_integrand(n, beta, lam):
+    """z, h, h's peak and mpmath.quad's breaks over u = r^2, for mpf beta and lam."""
+    z = lambda u: beta / 2 * mpmath.sqrt(1 + 4 * lam**2 * u / n)
+    h = lambda u: -beta * u + n * mpmath.log(2 * mpmath.cosh(z(u)))
+    slope = lambda u: -beta + (beta * lam) ** 2 * mpmath.tanh(z(u)) / (2 * z(u))
+    lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+    while slope(hi) > 0:
+        hi *= 2
+    for _ in range(200 if slope(0) > 0 else 0):
+        lo, hi = ((lo + hi) / 2, hi) if slope((lo + hi) / 2) > 0 else (lo, (lo + hi) / 2)
+    width = 1 / max(abs(slope(lo)), mpmath.sqrt(abs(mpmath.diff(h, lo, 2))))
+    points = sorted({lo + k * width for k in (-32, -8, -2, 0, 2, 8, 32, 64)
+                     if lo + k * width > 0} | {mpmath.mpf(0)})
+    return z, h, lo, points + [mpmath.inf]
+
+
 def _mp_dicke_log_z(n, beta, lam):
     """lnZ by mpmath.quad at 30 digits over u = r^2, broken at its own peak and widths."""
     with mpmath.workdps(30):
-        beta, lam = mpmath.mpf(beta), mpmath.mpf(lam)
-        z = lambda u: beta / 2 * mpmath.sqrt(1 + 4 * lam**2 * u / n)
-        h = lambda u: -beta * u + n * mpmath.log(2 * mpmath.cosh(z(u)))
-        slope = lambda u: -beta + (beta * lam) ** 2 * mpmath.tanh(z(u)) / (2 * z(u))
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        while slope(hi) > 0:
-            hi *= 2
-        for _ in range(200 if slope(0) > 0 else 0):
-            lo, hi = ((lo + hi) / 2, hi) if slope((lo + hi) / 2) > 0 else (lo, (lo + hi) / 2)
-        width = 1 / max(abs(slope(lo)), mpmath.sqrt(abs(mpmath.diff(h, lo, 2))))
-        points = sorted({lo + k * width for k in (-32, -8, -2, 0, 2, 8, 32, 64)
-                         if lo + k * width > 0} | {mpmath.mpf(0)})
-        h_peak = h(lo)
-        return h_peak + mpmath.log(mpmath.quad(lambda u: mpmath.exp(h(u) - h_peak),
-                                               points + [mpmath.inf]))
+        _, h, peak, points = _mp_dicke_integrand(n, mpmath.mpf(beta), mpmath.mpf(lam))
+        h_peak = h(peak)
+        return h_peak + mpmath.log(mpmath.quad(lambda u: mpmath.exp(h(u) - h_peak), points))
 
 
 @pytest.mark.parametrize("n, lam, t", DICKE_POINTS)
@@ -426,9 +433,38 @@ def test_dicke_matches_mpmath(n, lam, t):
     assert abs(float(value - _mp_dicke_log_z(n, 1.0 / t, lam))) <= 1e-11 * abs(value)
 
 
+def _mp_dicke_cv(n, beta, lam):
+    """Cv = beta^2 d2 lnZ/dbeta2 from the u-integral's moments at 30 digits, with no stencil.
+
+    Under the normalised weight e^h, d2 lnZ/dbeta2 = Var h_b + <h_bb>: z is
+    proportional to beta, so h_b = -u + N tanh(z) z/beta and
+    h_bb = N sech^2(z) (z/beta)^2. The second term is there because h is not
+    linear in beta.
+    """
+    with mpmath.workdps(30):
+        beta = mpmath.mpf(beta)
+        z, h, peak, points = _mp_dicke_integrand(n, beta, mpmath.mpf(lam))
+        h_peak = h(peak)
+        h_b = lambda u: -u + n * mpmath.tanh(z(u)) * z(u) / beta
+        h_bb = lambda u: n * (mpmath.sech(z(u)) * z(u) / beta) ** 2
+        m0, m1, m2 = (mpmath.quad(lambda u: g(u) * mpmath.exp(h(u) - h_peak), points)
+                      for g in (lambda u: 1, h_b, lambda u: h_b(u) ** 2 + h_bb(u)))
+        return float(beta**2 * (m2 / m0 - (m1 / m0) ** 2))
+
+
+@pytest.mark.parametrize("n, lam, t", [(50, 1.5, 1.2), (50, 0.5, 0.7), (200, 1.5, 0.9)])
+def test_dicke_specific_heat_stencil_error_is_moment_leading_term(n, lam, t):
+    # normal phase at lam = 0.5 and 1.5 (T_c = 1.047), superradiant at T = 0.9
+    cv = functools.cache(lambda beta: _mp_dicke_cv(n, beta, lam))
+    deltas = np.array([0.04, 0.02, 0.01])
+    errors = np.array([core.specific_heat(Dicke(n_atoms=n), ThermoPoint(1.0 / t, lam), d)
+                       for d in deltas]) - cv(1.0 / t)
+    assert_error_is_leading_term(deltas, errors, cv_leading_term(cv, t))
+
+
 def test_dicke_convex_in_beta():
     betas = np.linspace(0.4, 1.6, 7)
-    assert core.log_z_convexity_defect(Dicke(n_atoms=40), betas, 1.2) >= -1e-8
+    assert log_z_convexity_defect(Dicke(n_atoms=40), betas, 1.2) >= -1e-8
 
 
 def test_tim_parameter_validation():
@@ -600,9 +636,25 @@ def _mp_per_site_log_z(kind, beta, lam):
         return mpmath.log(2) + integral / mpmath.pi
 
 
-@pytest.mark.parametrize("kind, lam, t", ORACLE_POINTS)
-def test_fixed_rules_match_mpmath(kind, lam, t):
+def assert_log_z_matches_mpmath(kind, lam, t):
     beta = 1.0 / t
     value = (Ising2D() if kind == "ising" else Tim1D()).log_z(beta, lam)
     reference = _mp_per_site_log_z(kind, beta, lam)
     assert abs(float(value - reference)) <= 1e-14 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("kind, lam, t", ORACLE_POINTS)
+def test_fixed_rules_match_mpmath(kind, lam, t):
+    assert_log_z_matches_mpmath(kind, lam, t)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(t=st.floats(1.0, 5.0))
+def test_ising_log_z_matches_mpmath_on_drawn_temperatures(t):
+    assert_log_z_matches_mpmath("ising", 0.0, t)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(lam=st.floats(0.0, 1.5), t=st.floats(0.05, 2.0))
+def test_tim_log_z_matches_mpmath_on_drawn_points(lam, t):
+    assert_log_z_matches_mpmath("tim", lam, t)

@@ -564,4 +564,4 @@ def test_chi_beta_cv_field_identity():
 
 def test_critical_line_structure():
     line = CriticalLine(((0.0, 1.5),), "minimum")
-    assert line.classification == "Undetermined"
+    assert line.points == ((0.0, 1.5),) and line.detection == "minimum"
