@@ -110,7 +110,7 @@ def build_model(cfg):
         if key not in valid:
             raise ConfigError(f"model.{key}", f"unknown parameter for model {name!r}")
         value = _require(cfg, key, float, "model")
-        if valid[key] in (int, "int"):
+        if valid[key] is int:
             if not value.is_integer():
                 raise ConfigError(f"model.{key}", f"must be an integer, got {value}")
             value = int(value)

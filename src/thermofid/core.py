@@ -37,14 +37,24 @@ def check_positive(key, value):
     return value
 
 
-def check_uniform(values, key):
-    """values as a float array once it holds at least 2 finite, evenly increasing entries."""
+def as_axis(values, key):
+    """values as a float array, or DomainError(key=key) unless finite and strictly increasing."""
     axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1 or axis.size == 0:
+        raise DomainError(f"{key} must be a non-empty 1-D sequence", key=key)
+    if not np.all(np.isfinite(axis)):
+        raise DomainError(f"{key} has non-finite entries", key=key)
+    if axis.size > 1 and not np.all(np.diff(axis) > 0.0):
+        raise DomainError(f"{key} must be strictly increasing", key=key)
+    return axis
+
+
+def check_uniform(values, key):
+    """as_axis(values, key) once it holds at least 2 evenly spaced entries."""
+    axis = as_axis(values, key)
     steps = np.diff(axis)
-    if (axis.size < 2 or not np.all(np.isfinite(axis)) or not np.all(steps > 0.0)
-            or steps.max() - steps.min() > 1e-9 * steps.max()):
-        raise DomainError(f"{key} must be finite, uniformly spaced and increasing, with at "
-                          f"least 2 values", key=key)
+    if axis.size < 2 or steps.max() - steps.min() > 1e-9 * steps.max():
+        raise DomainError(f"{key} must be uniformly spaced, with at least 2 values", key=key)
     return axis
 
 
@@ -224,8 +234,13 @@ def specific_heat(model, point, delta_t, lnz=None):
     return evaluate(model, specific_heat_stencil(point, delta_t), lnz)
 
 
+def partner_beta(point, delta_t):
+    """1/(T + delta_t): F_beta's second beta, and the partner in chi_beta's stencil."""
+    return 1.0 / (point.temperature + check_positive("delta_t", delta_t))
+
+
 def fidelity_susceptibility_beta_stencil(point, delta_t):
-    beta1 = 1.0 / (point.temperature + check_positive("delta_t", delta_t))
+    beta1 = partner_beta(point, delta_t)
     mid = 0.5 * (point.beta + beta1)
     return (((beta1, point.lam), (point.beta, point.lam), (mid, point.lam)),
             lambda *z: _second_difference(*z, "fidelity_susceptibility_beta")

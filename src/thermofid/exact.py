@@ -191,19 +191,15 @@ class DenseModel(ThermoModel):
     """
 
     builder: Callable[[float], np.ndarray]
-    label: str = "dense"
-
-    @property
-    def name(self):
-        return self.label
+    name: str
 
     def log_z(self, beta, lam):
         check_positive("beta", beta)
-        h = _check_hamiltonian(self.builder(lam), self.label)
+        h = _check_hamiltonian(self.builder(lam), self.name)
         try:
             w = np.linalg.eigvalsh(h)
         except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"{self.label}: eigensolver failed: {exc}") from exc
+            raise EigensolverError(f"{self.name}: eigensolver failed: {exc}") from exc
         # lnZ = -beta w_min + ln sum exp(-beta (w - w_min)); eigvalsh sorts w ascending
         terms = np.exp(-np.multiply.outer(beta, w - w[0]))
         return np.log(terms.sum(axis=-1)) - np.multiply(beta, w[0])

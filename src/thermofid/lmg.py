@@ -27,17 +27,14 @@ _BRACKET_HI = 1.0 - 1e-9
 
 
 def _load_scipy():
-    """Bind scipy's eigh_tridiagonal here, keeping a name already bound, such as a wrapper."""
+    """scipy's eigh_tridiagonal, the package's one scipy import."""
     from scipy.linalg import eigh_tridiagonal
-    globals().setdefault("eigh_tridiagonal", eigh_tridiagonal)
+    return eigh_tridiagonal
 
 
-def __getattr__(name):
-    # lmg.eigh_tridiagonal read from outside (to wrap it) before any load
-    if name == "eigh_tridiagonal":
-        _load_scipy()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def eigh_tridiagonal(d, e):
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal d and off-diagonal e."""
+    return _load_scipy()(d, e, eigvals_only=True)
 
 
 def logsumexp(x):
@@ -73,7 +70,6 @@ def _sector_bands(sector_spin, n_spins, gamma, lam):
 
 def _band_eigenvalues(diag, off):
     """All eigenvalues of a step-2-banded symmetric matrix via its parity blocks."""
-    _load_scipy()  # every entry point that solves a spectrum gets here first
     blocks = []
     for start in (0, 1):
         d = diag[start::2]
@@ -81,7 +77,7 @@ def _band_eigenvalues(diag, off):
             continue
         e = off[start::2][: d.size - 1]
         try:
-            blocks.append(eigh_tridiagonal(d, e, eigvals_only=True))
+            blocks.append(eigh_tridiagonal(d, e))
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"tridiagonal eigensolve failed: {exc}") from exc
     return np.concatenate(blocks)

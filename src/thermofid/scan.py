@@ -22,13 +22,10 @@ from . import core
 from .errors import DomainError, EvaluationError, InsufficientSizes
 
 # each field's core function, read at call time, and its arguments on a
-# column's ThermoPoint, which the function's core *_stencil takes too. F_beta's
-# partner 1/(T + delta_t) starts from point.temperature, as chi_beta's does,
-# which can differ from the grid T in the last bit: the two share their points.
-# It is formed here, so its delta_t is checked here, as its stencil would
+# column's ThermoPoint, which the function's core *_stencil takes too; F_beta
+# takes chi_beta's partner beta, so the two share their points
 _FIELDS = {
-    "F_beta": ("fidelity_beta", lambda p, dt, dlam: (
-        p.beta, 1.0 / (p.temperature + core.check_positive("delta_t", dt)), p.lam)),
+    "F_beta": ("fidelity_beta", lambda p, dt, dlam: (p.beta, core.partner_beta(p, dt), p.lam)),
     "Cv": ("specific_heat", lambda p, dt, dlam: (p, dt)),
     "chi": ("susceptibility_lambda", lambda p, dt, dlam: (p, dlam)),
     "chi_beta": ("fidelity_susceptibility_beta", lambda p, dt, dlam: (p, dt)),
@@ -51,18 +48,6 @@ DIVERGENCE_GROWTH = 1.05
 SMOOTHNESS_RATIO = 0.75
 
 
-def as_axis(values, key):
-    """values as a float array, or DomainError(key=key) unless finite and strictly increasing."""
-    axis = np.asarray(values, dtype=float)
-    if axis.ndim != 1 or axis.size == 0:
-        raise DomainError(f"{key} must be a non-empty 1-D sequence", key=key)
-    if axis.size > 1 and not np.all(np.diff(axis) > 0.0):
-        raise DomainError(f"{key} must be strictly increasing", key=key)
-    if not np.all(np.isfinite(axis)):
-        raise DomainError(f"{key} has non-finite entries", key=key)
-    return axis
-
-
 @dataclass(frozen=True)
 class ScanGrid:
     """Rectangular lam-T grid plus the perturbations used on it.
@@ -77,8 +62,8 @@ class ScanGrid:
     delta_lambda: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_axis", as_axis(self.lambda_axis, "lambda_axis"))
-        object.__setattr__(self, "t_axis", as_axis(self.t_axis, "t_axis"))
+        object.__setattr__(self, "lambda_axis", core.as_axis(self.lambda_axis, "lambda_axis"))
+        object.__setattr__(self, "t_axis", core.as_axis(self.t_axis, "t_axis"))
         for key in ("delta_t", "delta_lambda"):
             if getattr(self, key) is not None:
                 core.check_positive(key, getattr(self, key))
@@ -326,7 +311,7 @@ def _max_step(col):
     return float(step.max()) if step.size else math.nan
 
 
-def _monotone_increasing(values, slack=0.0):
+def _monotone_increasing(values, slack):
     return all(values[i + 1] > values[i] * (1.0 - slack) for i in range(len(values) - 1))
 
 
@@ -370,7 +355,7 @@ def classify_transition(model_family, lam, sizes, t_axis, delta_t):
         discontinuity).
     """
     family = check_classify(model_family, [lam], sizes)
-    t_axis = core.check_uniform(as_axis(t_axis, "t_axis"), "t_axis")
+    t_axis = core.check_uniform(t_axis, "t_axis")
 
     columns = [_cv_column(model, lam, t_axis, delta_t) for model in family]
     if any(np.isnan(col).all() for col in columns):

@@ -1,9 +1,9 @@
 """What a cold start imports: scipy only for the models that call it, and nothing mid-scan.
 
 Each import test runs in a fresh interpreter, because the test process itself
-has long since imported scipy through other tests. The source checks at the
-end read the package's syntax trees: every import and every module-level name
-has a reader.
+has long since imported scipy through other tests. The source checks read
+the package's syntax trees: every import and every module-level name has a
+reader, and no module makes up or rebinds its own names at run time.
 """
 
 import ast
@@ -151,29 +151,35 @@ def test_one_column_scan_starts_no_pool(tmp_path):
     assert scan_imports(tmp_path, "ising_ridge", threads=2) == []
 
 
-@pytest.mark.parametrize("read_first", [False, True])
-def test_outside_patches_survive_the_lazy_scipy_load(tmp_path, read_first):
-    # bench/tracer.py and test_lmg replace these names from outside; binding
-    # scipy's functions over them would silently bypass the replacement.
-    # read_first takes the originals from lmg itself (its lazy attribute
-    # lookup), otherwise they come from scipy and lmg has loaded nothing yet.
-    linalg, special = ("lmg", "lmg") if read_first else ("scipy.linalg", "scipy.special")
-    calls = fresh(tmp_path, (
-        "import json\n"
-        "import scipy.linalg, scipy.special\n"
-        "from thermofid import lmg\n"
-        "calls = {'eigh_tridiagonal': 0, 'logsumexp': 0}\n"
-        "def counting(name, fn):\n"
-        "    def wrapper(*args, **kwargs):\n"
-        "        calls[name] += 1\n"
-        "        return fn(*args, **kwargs)\n"
-        "    return wrapper\n"
-        f"lmg.eigh_tridiagonal = counting('eigh_tridiagonal', {linalg}.eigh_tridiagonal)\n"
-        f"lmg.logsumexp = counting('logsumexp', {special}.logsumexp)\n"
-        "lmg.Lmg(n_spins=20).log_z(1.0, 0.3)\n"
-        "print(json.dumps(calls))"))
-    assert calls["eigh_tridiagonal"] > 0
-    assert calls["logsumexp"] == 1
+def test_traced_scan_loads_no_scipy(tmp_path):
+    # bench/tracer.py wraps lmg.eigh_tridiagonal by name; reading it must not
+    # import scipy, or a traced Ising or chain scan measures a process with it
+    assert fresh(tmp_path, (
+        "import json, sys\n"
+        "from tracer import Tracer\n"
+        "from thermofid import models, scan\n"
+        "Tracer('.').install()\n"
+        "grid = scan.ScanGrid([0.0], [2.0, 2.5], delta_t=0.01)\n"
+        "scan.sweep(models.Ising2D(), grid, ['F_beta', 'Cv', 'chi_beta'], threads=1)\n"
+        f"print({SCIPY_MODULES})")) == []
+
+
+def namespace_hooks(package):
+    """module.__getattr__ for each module-level __getattr__, module.globals() for each globals()."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.stem}.__getattr__" for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"]
+        found += [f"{path.stem}.globals()" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "globals"]
+    return found
+
+
+def test_no_module_resolves_or_rebinds_its_own_names():
+    # a name a module makes up on lookup, or binds through globals(), is not
+    # in its source where a reader, or a wrapper set from outside, expects it
+    assert namespace_hooks(ROOT / "src" / "thermofid") == []
 
 
 def module_level_names(tree):

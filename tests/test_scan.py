@@ -21,6 +21,8 @@ from thermofid.scan import (
     ScanField,
     ScanGrid,
     TYPE_A,
+    TYPE_B,
+    UNDETERMINED,
     check_request,
     classify_transition,
     locate_jumps,
@@ -442,6 +444,18 @@ def test_locate_minima_handles_nan_neighbors():
     assert line.points[0][1] == pytest.approx(t_axis[5], abs=1e-12)
 
 
+def test_locate_minima_skips_columns_with_fewer_than_three_finite_cells():
+    t_axis = np.linspace(1.0, 2.0, 11)
+    sparse = np.full(t_axis.size, np.nan)
+    sparse[[3, 7]] = 1.0
+    field = synthetic_field([0.0, 1.0], t_axis, [sparse, (t_axis - 1.5) ** 2])
+    assert [p[0] for p in locate_minima(field).points] == [1.0]
+
+
+def test_parabolic_vertex_of_a_flat_parabola_is_the_middle_point():
+    assert scan._parabolic_vertex(1.0, 1.5, 2.0, 3.0, 3.0, 3.0) == 1.5
+
+
 def test_locate_jumps_isolated_step_midpoint():
     t_axis = np.linspace(1.0, 2.0, 11)
     col = np.where(t_axis < 1.55, 1.0, 3.0) + 0.001 * t_axis
@@ -549,6 +563,66 @@ def test_classify_synthetic_growing_peak_is_type_a():
     t_axis = np.linspace(0.5, 1.5, 21)
     verdict = classify_transition(PeakModel, 0.0, [10, 100, 1000], t_axis, 0.01)
     assert verdict == TYPE_A
+
+
+class SpinFamily:
+    """n free spins, lnZ = n ln(2 cosh beta), plus n extra(beta); extra is 0 here."""
+
+    name = "spins"
+
+    def __init__(self, n):
+        self.size_hint = n
+
+    def extra(self, beta):
+        return 0.0
+
+    def log_z(self, beta, lam):
+        return self.size_hint * (np.logaddexp(beta, -beta) + self.extra(np.asarray(beta)))
+
+
+def refinement_ratio(model, t_axis, delta_t):
+    """The classifier's largest Cv step on the 2x refined T axis over that on t_axis."""
+    fine_axis = np.linspace(t_axis[0], t_axis[-1], 2 * t_axis.size - 1)
+    return (scan._max_step(scan._cv_column(model, 0.0, fine_axis, delta_t))
+            / scan._max_step(scan._cv_column(model, 0.0, t_axis, delta_t)))
+
+
+def test_classify_synthetic_peaks_growing_out_of_order_are_undetermined():
+    # the per-site peak is scale x the free spin's: it ends 4x higher, but
+    # dips on the way, and a smooth peak fails the divergence proxy
+    class OutOfOrder(SpinFamily):
+        def log_z(self, beta, lam):
+            scale = {10: 1.0, 20: 0.5, 40: 4.0}[self.size_hint]
+            return scale * super().log_z(beta, lam)
+
+    t_axis = np.linspace(0.5, 1.5, 21)
+    assert classify_transition(OutOfOrder, 0.0, [10, 20, 40], t_axis, 0.001) == UNDETERMINED
+
+
+def test_classify_synthetic_refinement_stable_jump_is_type_b():
+    # Cv per site drops by beta^2, about 1, at T = 1.01, the same at every
+    # size: the jump is the largest step on both T axes
+    class Jump(SpinFamily):
+        def extra(self, beta):
+            return 0.5 * np.maximum(beta - 1.0 / 1.01, 0.0) ** 2
+
+    t_axis = np.linspace(0.5, 1.5, 21)
+    assert refinement_ratio(Jump(10), t_axis, 0.001) >= 0.9
+    assert classify_transition(Jump, 0.0, [10, 20, 40], t_axis, 0.001) == TYPE_B
+
+
+def test_classify_synthetic_smooth_bump_between_the_bands_is_undetermined():
+    # a smooth Cv bump of width 0.01 in beta at T = 1.01 is about as narrow as
+    # the T spacing: refining the axis shrinks its largest step by a ratio in
+    # [SMOOTHNESS_RATIO, 0.9), neither a resolved curve nor a stable jump
+    class Bump(SpinFamily):
+        def extra(self, beta):
+            width = 0.01
+            return width**2 * np.logaddexp(0.0, (beta - 1.0 / 1.01) / width)
+
+    t_axis = np.linspace(0.5, 1.5, 21)
+    assert scan.SMOOTHNESS_RATIO <= refinement_ratio(Bump(10), t_axis, 0.001) < 0.9
+    assert classify_transition(Bump, 0.0, [10, 20, 40], t_axis, 0.001) == UNDETERMINED
 
 
 def test_chi_beta_cv_field_identity():
