@@ -169,11 +169,6 @@ def build_grid(cfg):
     return scan.ScanGrid(lam_axis, t_axis, delta_t, delta_lambda)
 
 
-def _size_family(model):
-    """n -> model with its size field set to n."""
-    return lambda n: dataclasses.replace(model, **{type(model).size_field: n})
-
-
 def resolve_scan_config(cfg):
     """Fill defaults and validate; the result re-resolves to itself (round trip)."""
     if not isinstance(cfg, dict):
@@ -205,7 +200,7 @@ def resolve_scan_config(cfg):
         if not lambdas or not _numbers(lambdas):
             raise ConfigError("classify.lambdas", "must be a non-empty list of numbers")
         classify = dict(classify, lambdas=[float(v) for v in lambdas])
-        if type(model).size_field is None:
+        if model.size_field is None:
             raise ConfigError("classify", f"model {model.name!r} has no size parameter")
 
     try:
@@ -215,7 +210,7 @@ def resolve_scan_config(cfg):
         if detect.get("jumps") or classify is not None:
             core.check_uniform(grid.t_axis, "t_axis")  # as locate_jumps and the classifier do
         if classify is not None:
-            scan.check_classify(_size_family(model), classify["lambdas"], classify["sizes"])
+            scan.check_classify(model, classify["lambdas"], classify["sizes"])
     except DomainError as exc:
         raise ConfigError(_CONFIG_KEYS.get(exc.key, exc.key or "config"), str(exc)) from exc
 
@@ -343,7 +338,7 @@ def cmd_scan(config_path, threads=None):
     classify_cfg = resolved.get("classify")
     if classify_cfg:
         for lam in classify_cfg["lambdas"]:
-            verdict = scan.classify_transition(_size_family(model), lam, classify_cfg["sizes"],
+            verdict = scan.classify_transition(model, lam, classify_cfg["sizes"],
                                                grid.t_axis, grid.delta_t)
             classifications.append({"lambda": lam, "sizes": classify_cfg["sizes"],
                                     "classification": verdict})

@@ -1,7 +1,8 @@
 """Model-agnostic thermodynamics kernel.
 
-Turns any log-partition function lnZ(beta, lam) into finite-difference
-response functions and temperature/field fidelities.
+Turns a model's log-partition function lnZ(beta, lam) into finite-difference
+response functions and temperature/field fidelities. A model subclasses
+ThermoModel and writes _log_z; the inherited log_z checks and types it.
 Partition functions are handled exclusively in log space; every fidelity
 ratio is a difference of logs exponentiated at the end, so systems whose
 Z overflows double precision still evaluate cleanly.
@@ -15,7 +16,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar, Protocol
+from typing import ClassVar
 
 import numpy as np
 
@@ -83,26 +84,24 @@ def per_beta(evaluate, beta):
     return values
 
 
-class ThermoModel(Protocol):
-    """Contract every model satisfies: a log-partition function plus metadata.
+class ThermoModel:
+    """Base class of every model: a log-partition function plus metadata.
 
+    A model subclasses this class and writes _log_z(beta, lam), its numerics
+    alone; log_z checks beta and lam, calls it and types its result.
     name is the model's label in messages and reports. size_field names the
-    dataclass field holding the system size, which the CLI varies to build a
-    size family for classification; it is None for a model without one.
-    size_hint is that size (None without one), the per-site normalisation of
-    the classifier. lambda_domain is the closed interval of lam where log_z
-    is defined; check_lambda enforces it.
-
-    The catalog models subclass this protocol and inherit size_hint, the
-    unbounded lambda_domain and the check that a size is >= 1, which runs
-    when a dataclass model is built. The kernel and the sweep need only name,
-    size_hint and log_z, so any object with those works too.
+    dataclass field holding the system size, which the classifier varies to
+    build a size family; it is None for a model without one. size_hint is
+    that size (None without one), the per-site normalisation of the
+    classifier. lambda_domain is the closed interval of lam where log_z is
+    defined. A dataclass model checks on construction that a size is >= 1.
 
     log_z(beta, lam) takes a float or 1-D array beta, then a float lam. An
     array call returns beta's shape, each entry bitwise equal to the float
-    call at that beta, and NaN where that beta fails; a float call raises its
-    EvaluationError instead. A failure of the whole lam, such as an
-    eigensolve, may raise for an array call too.
+    call at that beta, and NaN where that beta fails; a float call returns a
+    float, or raises its EvaluationError instead. A non-finite lnZ is such a
+    failure. A failure of the whole lam, such as an eigensolve, may raise for
+    an array call too.
     """
 
     name: str
@@ -118,14 +117,19 @@ class ThermoModel(Protocol):
     def size_hint(self) -> int | None:
         return None if self.size_field is None else getattr(self, self.size_field)
 
-    def log_z(self, beta: float | np.ndarray, lam: float) -> float | np.ndarray: ...
+    def log_z(self, beta: float | np.ndarray, lam: float) -> float | np.ndarray:
+        check_positive("beta", beta)
+        check_lambda(self, lam)
+        value = self._log_z(beta, lam)
+        return nan_or_raise(value, ~np.isfinite(value), EvaluationError,
+                            lambda: f"{self.name}: non-finite lnZ at beta={beta}, lam={lam}")
 
 
 def check_lambda(model, lam, key="lam"):
     """Raise DomainError(key=key) unless lam is finite and lies in the model's lambda_domain."""
     if not math.isfinite(lam):
         raise DomainError(f"lam must be finite, got {lam}", key=key)
-    lo, hi = getattr(model, "lambda_domain", ThermoModel.lambda_domain)
+    lo, hi = model.lambda_domain
     if not lo <= lam <= hi:
         domain = f"lam = {lo:g}" if lo == hi else f"{lo:g} <= lam <= {hi:g}"
         raise DomainError(f"{model.name} is defined for {domain} only, got lam = {lam:g}",
@@ -162,14 +166,6 @@ def warn_if_large_steps(t_min, lam_min, delta_t, delta_lambda):
                       stacklevel=2)
 
 
-def log_z(model, beta, lam):
-    """model.log_z at a checked beta: NaN where non-finite, or EvaluationError for a float beta."""
-    check_positive("beta", beta)
-    value = model.log_z(beta, lam)
-    return nan_or_raise(value, ~np.isfinite(value), EvaluationError,
-                        lambda: f"{model.name}: non-finite lnZ at beta={beta}, lam={lam}")
-
-
 def evaluate(model, stencil, lnz=None):
     """A field from its stencil (points, combine): combine(*lnZ at each (beta, lam) of points).
 
@@ -179,7 +175,7 @@ def evaluate(model, stencil, lnz=None):
     """
     points, combine = stencil
     if lnz is None:
-        lnz = [log_z(model, beta, lam) for beta, lam in points]
+        lnz = [model.log_z(beta, lam) for beta, lam in points]
     return combine(*lnz)
 
 

@@ -193,8 +193,7 @@ class DenseModel(ThermoModel):
     builder: Callable[[float], np.ndarray]
     name: str
 
-    def log_z(self, beta, lam):
-        check_positive("beta", beta)
+    def _log_z(self, beta, lam):
         h = _check_hamiltonian(self.builder(lam), self.name)
         try:
             w = np.linalg.eigvalsh(h)

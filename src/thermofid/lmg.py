@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import LOG_DROP, ThermoModel, check_lambda, check_positive, per_beta
+from .core import LOG_DROP, ThermoModel, check_positive, per_beta
 from .errors import DomainError, EigensolverError
 
 _BRACKET_LO = 1e-9
@@ -147,7 +147,7 @@ class Lmg(ThermoModel):
             raise DomainError(f"gamma must be in [0, 1], got {self.gamma}", key="gamma")
         _load_scipy()  # here, so a scan imports it while configured, before its pool forks
 
-    def log_z(self, beta, lam):
+    def _log_z(self, beta, lam):
         """Full 2^N-trace lnZ: degeneracy-weighted sum over all spin sectors.
 
         Equals ln Tr exp(-beta H) exactly (verified against brute force for
@@ -158,8 +158,6 @@ class Lmg(ThermoModel):
         under 1/20 ulp of lnZ >= N ln 2 = 554 (Tr H = 0). The levels that can
         give such a term at some beta of the call are picked once per call.
         """
-        check_positive("beta", beta)
-        check_lambda(self, lam)
         # even in the field (a pi rotation about x flips its sign), so the
         # central susceptibility stencil works at lam = 0
         energies, weights = _full_levels(self.n_spins, self.gamma, abs(lam))

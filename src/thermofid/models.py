@@ -1,8 +1,9 @@
 """Closed-form log-partition functions for the model catalog.
 
-Every model subclasses core.ThermoModel: it exposes log_z(beta, lam), beta a
-float or a 1-D array, plus name / size_field / lambda_domain metadata, so the
-kernel, the scanner, and the CLI treat them interchangeably. Integral forms
+Every model subclasses core.ThermoModel and writes only _log_z(beta, lam),
+beta a float or a 1-D array, plus name / size_field / lambda_domain metadata;
+the inherited log_z checks and types every call, so the kernel, the scanner,
+and the CLI treat them interchangeably. Integral forms
 use one rule each: fixed tanh-sinh (Ising), a trapezoid rule whose panels
 grow with beta (chain), and, beta by beta, adaptive Simpson to 1e-10 of a
 coarse estimate on each side of the integrand's peak (Dicke, whose
@@ -15,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import LOG_DROP, ThermoModel, check_lambda, check_positive, nan_or_raise, per_beta
+from .core import LOG_DROP, ThermoModel, check_positive, nan_or_raise, per_beta
 from .errors import DomainError, QuadratureError
 from .quadrature import adaptive_simpson, composite_simpson
 
@@ -85,9 +86,7 @@ class Ising2D(ThermoModel):
         super().__post_init__()
         check_positive("coupling_j", self.coupling_j)
 
-    def log_z(self, beta, lam):
-        check_positive("beta", beta)
-        check_lambda(self, lam)
+    def _log_z(self, beta, lam):
         # the integrand is symmetric under phi -> pi - phi: twice the [0, pi/2] rule
         # ln[(1 + sqrt(max(1 - ks^2, 0))) / 2] * weights, in place on one array per
         # block of betas: one array for a whole column would set a scan's peak memory
@@ -133,9 +132,7 @@ class Tim1D(ThermoModel):
         super().__post_init__()
         check_positive("coupling_j", self.coupling_j)
 
-    def log_z(self, beta, lam):
-        check_positive("beta", beta)
-        check_lambda(self, lam)
+    def _log_z(self, beta, lam):
         # even in the field (a pi rotation about z flips its sign), so the
         # central susceptibility stencil works at lam = 0
         lam = abs(lam)
@@ -189,9 +186,7 @@ class Dicke(ThermoModel):
         for key in ("omega", "omega0"):
             check_positive(key, getattr(self, key))
 
-    def log_z(self, beta, lam):
-        check_positive("beta", beta)
-        check_lambda(self, lam)
+    def _log_z(self, beta, lam):
         return per_beta(lambda b: self._log_z_at(b, lam), beta)
 
     def _log_z_at(self, beta, lam):
@@ -282,9 +277,7 @@ class TwoLevel(ThermoModel):
 
     name: ClassVar[str] = "two_level"
 
-    def log_z(self, beta, lam):
-        check_positive("beta", beta)
-        check_lambda(self, lam)
+    def _log_z(self, beta, lam):
         return log_2cosh(np.asarray(beta) * self.gap)
 
 
@@ -294,7 +287,5 @@ class TwoLevelField(ThermoModel):
 
     name: ClassVar[str] = "two_level_field"
 
-    def log_z(self, beta, lam):
-        check_positive("beta", beta)
-        check_lambda(self, lam)
+    def _log_z(self, beta, lam):
         return log_2cosh(np.asarray(beta) * lam)

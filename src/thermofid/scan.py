@@ -11,6 +11,7 @@ fields. Cells whose evaluation fails are recorded as NaN and skipped by the
 detectors.
 """
 
+import dataclasses
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -46,6 +47,7 @@ GROWTH_FACTOR = 3.0
 STEP_GROWTH_FACTOR = 1.5
 DIVERGENCE_GROWTH = 1.05
 SMOOTHNESS_RATIO = 0.75
+STABLE_RATIO = 0.9
 
 
 @dataclass(frozen=True)
@@ -142,17 +144,12 @@ def _sweep_column(model, fields, lam, t_axis, delta_t, delta_lambda):
         np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
         distinct = ordered[new]
         try:
-            values = core.log_z(model, distinct, at)
+            values = model.log_z(distinct, at)
         except EvaluationError:
             values = np.full(distinct.size, math.nan)
-        run = np.arange(ordered.size)  # each sorted beta's first equal one
-        run[~new] = 0
-        np.maximum.accumulate(run, out=run)
-        index = np.empty_like(order)
-        index[order] = run
-        spread = np.empty(ordered.size)
-        spread[new] = values
-        lnz[at] = iter(spread[index].reshape(len(parts), -1))
+        slot = np.empty_like(order)  # each requested beta's index in distinct
+        slot[order] = np.cumsum(new) - 1
+        lnz[at] = iter(values[slot].reshape(len(parts), -1))
     return np.array([getattr(core, name)(model, *args, lnz=[next(lnz[at]) for _, at in points])
                      for name, args, points in stencils])
 
@@ -302,7 +299,7 @@ def locate_jumps(field, jump_threshold=JUMP_THRESHOLD):
 
 def _cv_column(model, lam, t_axis, delta_t):
     """Per-site specific heat along one lam column (NaN where evaluation fails)."""
-    return _sweep_column(model, ("Cv",), lam, t_axis, delta_t, None)[0] / (model.size_hint or 1)
+    return _sweep_column(model, ("Cv",), lam, t_axis, delta_t, None)[0] / model.size_hint
 
 
 def _max_step(col):
@@ -315,21 +312,24 @@ def _monotone_increasing(values, slack):
     return all(values[i + 1] > values[i] * (1.0 - slack) for i in range(len(values) - 1))
 
 
-def check_classify(model_family, lambdas, sizes):
-    """[model_family(n) for n in sizes], once classify_transition can use them at lambdas.
+def check_classify(model, lambdas, sizes):
+    """model with its size_field set to each of sizes, once classify_transition can use them.
 
     Fewer than three sizes raise InsufficientSizes, a DomainError. It and the
-    DomainError for sizes that are not strictly increasing, or that the model
-    rejects, are keyed "sizes"; a lam that is not finite or lies outside the
-    model's lambda_domain raises one keyed "lambdas".
+    DomainError for a model without a size_field, or for sizes that are not
+    strictly increasing or that the model rejects, are keyed "sizes"; a lam
+    that is not finite or lies outside the model's lambda_domain raises one
+    keyed "lambdas".
     """
+    if model.size_field is None:
+        raise DomainError(f"{model.name} has no size parameter", key="sizes")
     sizes = list(sizes)
     if len(sizes) < 3:
         raise InsufficientSizes(f"need at least 3 sizes, got {len(sizes)}", key="sizes")
     if any(sizes[i + 1] <= sizes[i] for i in range(len(sizes) - 1)):
         raise DomainError(f"sizes must be strictly increasing, got {sizes}", key="sizes")
     try:
-        family = [model_family(n) for n in sizes]
+        family = [dataclasses.replace(model, **{model.size_field: n}) for n in sizes]
     except DomainError as exc:
         raise DomainError(str(exc), key="sizes") from exc
     for lam in lambdas:
@@ -337,10 +337,11 @@ def check_classify(model_family, lambdas, sizes):
     return family
 
 
-def classify_transition(model_family, lam, sizes, t_axis, delta_t):
+def classify_transition(model, lam, sizes, t_axis, delta_t):
     """Classify the fixed-lam behavior as TypeA, TypeB, Crossover or Undetermined.
 
-    Per-size per-site specific-heat columns drive the decision, in order:
+    Per-site specific-heat columns of model at each of sizes drive the decision,
+    in order:
       - peaks growing monotonically by more than GROWTH_FACTOR -> TypeA;
       - the largest-size peak probed with stencil steps {2 dT, dT, dT/2}:
         strictly increasing values sustaining DIVERGENCE_GROWTH overall are
@@ -351,13 +352,15 @@ def classify_transition(model_family, lam, sizes, t_axis, delta_t):
         (a developing discontinuity steepens with size at bounded height);
       - a jump statistic that shrinks under 2x grid refinement below
         SMOOTHNESS_RATIO of its value, the way a smooth resolved curve does
-        -> Crossover; refinement-stable -> TypeB (an already-resolved
-        discontinuity).
+        -> Crossover; refinement-stable, within a factor STABLE_RATIO either
+        way -> TypeB (an already-resolved discontinuity); any other ratio,
+        between the two bands or a step that grows under refinement (an
+        unresolved feature narrower than the grid) -> Undetermined.
     """
-    family = check_classify(model_family, [lam], sizes)
+    family = check_classify(model, [lam], sizes)
     t_axis = core.check_uniform(t_axis, "t_axis")
 
-    columns = [_cv_column(model, lam, t_axis, delta_t) for model in family]
+    columns = [_cv_column(sized, lam, t_axis, delta_t) for sized in family]
     if any(np.isnan(col).all() for col in columns):
         raise EvaluationError("specific-heat column evaluation failed for a size")
     peaks = [float(np.nanmax(col)) for col in columns]
@@ -367,10 +370,9 @@ def classify_transition(model_family, lam, sizes, t_axis, delta_t):
         return TYPE_A
 
     largest = family[-1]
-    norm = largest.size_hint or 1
     t_peak = float(t_axis[int(np.nanargmax(columns[-1]))])
     point = core.ThermoPoint(1.0 / t_peak, lam)
-    refined = [core.specific_heat(largest, point, delta_t * 2.0 ** (1 - k)) / norm
+    refined = [core.specific_heat(largest, point, delta_t * 2.0 ** (1 - k)) / largest.size_hint
                for k in range(3)]
     if refined[0] < refined[1] < refined[2] and refined[2] > DIVERGENCE_GROWTH * refined[0]:
         return TYPE_A
@@ -385,6 +387,6 @@ def classify_transition(model_family, lam, sizes, t_axis, delta_t):
     fine_step = _max_step(_cv_column(largest, lam, fine_axis, delta_t))
     if fine_step < SMOOTHNESS_RATIO * steps[-1]:
         return CROSSOVER
-    if fine_step >= 0.9 * steps[-1]:
+    if STABLE_RATIO * steps[-1] <= fine_step <= steps[-1] / STABLE_RATIO:
         return TYPE_B
     return UNDETERMINED

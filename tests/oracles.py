@@ -17,6 +17,6 @@ def log_z_convexity_defect(model, betas, lam):
     betas = core.check_uniform(betas, "betas")
     if betas.size < 3:
         raise DomainError(f"betas must hold at least 3 values, got {betas.size}", key="betas")
-    z = core.log_z(model, betas, lam)
+    z = model.log_z(betas, lam)
     d2 = z[2:] + z[:-2] - 2.0 * z[1:-1]
     return float(np.min(d2 / np.maximum(np.abs(z[1:-1]), 1.0)))

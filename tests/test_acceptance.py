@@ -185,8 +185,7 @@ def test_criterion_5_dicke_type_b(tmp_path):
     t_jump = line.points[0][1]
     rel = abs(t_jump - tc) / tc
 
-    verdict = scan.classify_transition(lambda n: Dicke(n_atoms=n), 1.5,
-                                       [50, 100, 200], t_axis, 0.002)
+    verdict = scan.classify_transition(Dicke(), 1.5, [50, 100, 200], t_axis, 0.002)
     elapsed = time.perf_counter() - started
     ok = rel < 0.05 and verdict == scan.TYPE_B and elapsed < 300.0
     report("criterion 5 (Dicke jump location and TypeB classification)", ok,
@@ -196,7 +195,7 @@ def test_criterion_5_dicke_type_b(tmp_path):
 
 def test_criterion_6_tim_crossover():
     verdict = scan.classify_transition(
-        lambda n: Tim1D(n_sites=n), 0.9, [100, 200, 400],
+        Tim1D(), 0.9, [100, 200, 400],
         np.round(np.arange(0.3, 1.50001, 0.025), 10), 0.002,
     )
 

@@ -26,12 +26,11 @@ CHI_FIELD = 0.7864477329659275           # sech^2(0.5) at beta=1
 CHI_LAMBDA_FIELD = 0.19661193324148188   # beta chi / 4
 
 
-class _NanModel:
+class _NanModel(core.ThermoModel):
     name = "nan"
-    size_hint = None
 
-    def log_z(self, beta, lam):
-        return math.nan
+    def _log_z(self, beta, lam):
+        return np.full(np.shape(beta), math.nan)
 
 
 def test_thermo_point_validation():
@@ -61,21 +60,25 @@ def test_warn_if_large_steps():
 
 def test_free_energy_two_level():
     # F = -lnZ / beta at beta = 1
-    assert -core.log_z(TwoLevel(), 1.0, 0.0) == pytest.approx(
+    assert -TwoLevel().log_z(1.0, 0.0) == pytest.approx(
         F_TWO_LEVEL, abs=1e-12
     )
+    assert type(TwoLevel().log_z(1.0, 0.0)) is float
 
 
 def test_free_energy_continuous_in_t():
     model = TwoLevel()
     ts = np.linspace(0.5, 2.0, 200)
-    f = -core.log_z(model, 1.0 / ts, 0.0) * ts
+    f = -model.log_z(1.0 / ts, 0.0) * ts
     assert np.abs(np.diff(f)).max() < 0.02
 
 
 def test_free_energy_propagates_nonfinite():
     with pytest.raises(EvaluationError):
-        core.log_z(_NanModel(), 1.0, 0.0)
+        _NanModel().log_z(1.0, 0.0)
+    # an array call keeps its shape, NaN where lnZ is not finite
+    values = _NanModel().log_z(np.array([0.5, 1.0]), 0.0)
+    assert values.shape == (2,) and np.isnan(values).all()
 
 
 @pytest.mark.parametrize("values", [[0.0, 1.0, 2.0, math.inf], [-math.inf, 0.0, 1.0],
@@ -216,8 +219,8 @@ def test_susceptibility_lambda_symmetric_point_matches_folded_form():
     # one-sided estimate 2[F(h) - F(0)] / h^2
     model = TwoLevelField()
     h = 5e-4
-    f0 = -core.log_z(model, 1.0, 0.0)  # F = -lnZ / beta at beta = 1
-    fp = -core.log_z(model, 1.0, h)
+    f0 = -model.log_z(1.0, 0.0)  # F = -lnZ / beta at beta = 1
+    fp = -model.log_z(1.0, h)
     folded = -2.0 * (fp - f0) / h**2
     central = core.susceptibility_lambda(model, ThermoPoint(1.0, 0.0), 2 * h)
     assert central == pytest.approx(folded, rel=1e-12)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipe, ellipk
 
-from thermofid import core, models
+from thermofid import cli, core, models
 from thermofid.core import ThermoPoint
 from thermofid.errors import DomainError, QuadratureError
 from thermofid.exact import DenseModel, spin_chain_hamiltonian
@@ -566,6 +566,35 @@ def test_model_metadata():
     assert Dicke(n_atoms=7).size_hint == 7
     assert TwoLevel().size_hint is None
     assert TwoLevelField().name == "two_level_field"
+
+
+CONTRACT_MODELS = [*cli.MODEL_CLASSES.values(), DenseModel]
+
+
+def contract_instance(cls):
+    if cls is DenseModel:
+        return DenseModel(lambda lam: spin_chain_hamiltonian(2, 1.0, lam), "chain2")
+    return cls()
+
+
+@pytest.mark.parametrize("cls", CONTRACT_MODELS, ids=lambda cls: cls.__name__)
+def test_models_write_only_their_numerics(cls):
+    # the checks and the non-finite rule live in ThermoModel.log_z alone
+    assert issubclass(cls, core.ThermoModel)
+    assert "log_z" not in vars(cls)
+
+
+@pytest.mark.parametrize("cls", CONTRACT_MODELS, ids=lambda cls: cls.__name__)
+def test_log_z_rejects_bad_arguments_by_key(cls):
+    model = contract_instance(cls)
+    cases = [(beta, 0.0, "beta") for bad in (0.0, -1.0, math.nan, math.inf)
+             for beta in (bad, np.array([1.0, bad]))]
+    bad_lams = [math.nan, math.inf, -math.inf] + ([0.1] if model.name == "ising2d" else [])
+    cases += [(beta, lam, "lam") for lam in bad_lams for beta in (1.0, np.array([1.0, 2.0]))]
+    for beta, lam, key in cases:
+        with pytest.raises(DomainError) as info:
+            model.log_z(beta, lam)
+        assert info.value.key == key, (beta, lam)
 
 
 # ---------------------------------------------------------------------------

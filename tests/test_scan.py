@@ -6,6 +6,8 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -31,22 +33,19 @@ from thermofid.scan import (
 )
 
 
-class FailingModel:
+class FailingModel(core.ThermoModel):
     """Evaluates like a free spin but fails above a temperature threshold.
 
-    Follows the array contract: NaN at a failing beta of an array call,
-    EvaluationError for a float call.
+    Its lnZ is NaN at a failing beta, which log_z keeps for an array call and
+    raises as EvaluationError for a float call.
     """
 
     name = "failing"
-    size_hint = None
 
     def __init__(self, t_fail=1.0):
         self.beta_fail = 1.0 / t_fail
 
-    def log_z(self, beta, lam):
-        if np.ndim(beta) == 0 and beta < self.beta_fail:
-            raise EvaluationError("unsupported corner")
+    def _log_z(self, beta, lam):
         return np.where(beta < self.beta_fail, np.nan, np.logaddexp(beta, -beta))
 
 
@@ -525,59 +524,62 @@ def test_ising_minimum_aligns_with_cv_peak():
 def test_classify_validation():
     t_axis = np.linspace(0.5, 1.5, 11)
     with pytest.raises(InsufficientSizes) as info:
-        classify_transition(lambda n: Tim1D(n_sites=n), 0.5, [10, 20], t_axis, 0.01)
+        classify_transition(Tim1D(), 0.5, [10, 20], t_axis, 0.01)
     assert isinstance(info.value, DomainError) and info.value.key == "sizes"
     with pytest.raises(DomainError):
-        classify_transition(lambda n: Tim1D(n_sites=n), 0.5, [10, 10, 20], t_axis, 0.01)
+        classify_transition(Tim1D(), 0.5, [10, 10, 20], t_axis, 0.01)
     with pytest.raises(DomainError) as info:
-        scan.check_classify(lambda n: Tim1D(n_sites=n), [math.inf], [10, 20, 40])
+        scan.check_classify(Tim1D(), [math.inf], [10, 20, 40])
     assert info.value.key == "lambdas"
+    with pytest.raises(DomainError) as info:
+        scan.check_classify(TwoLevel(), [0.0], [10, 20, 40])  # no size_field
+    assert info.value.key == "sizes"
 
 
 def test_classify_tim_crossover():
     t_axis = np.round(np.arange(0.3, 1.50001, 0.025), 10)
-    verdict = classify_transition(lambda n: Tim1D(n_sites=n), 0.9,
-                                  [100, 200, 400], t_axis, 0.002)
+    verdict = classify_transition(Tim1D(), 0.9, [100, 200, 400], t_axis, 0.002)
     assert verdict == CROSSOVER
 
 
 def test_classify_ising_divergence():
     t_axis = np.round(np.arange(2.0, 2.60001, 0.005), 10)
-    verdict = classify_transition(lambda n: Ising2D(n_sites=n), 0.0,
-                                  [100, 200, 400], t_axis, 0.01)
+    verdict = classify_transition(Ising2D(), 0.0, [100, 200, 400], t_axis, 0.01)
     assert verdict == TYPE_A
 
 
 def test_classify_synthetic_growing_peak_is_type_a():
-    class PeakModel:
+    @dataclass(frozen=True)
+    class PeakModel(core.ThermoModel):
         """Free-spin thermodynamics whose per-site peak grows like sqrt(N)."""
 
-        name = "peak"
+        n: int = 1
 
-        def __init__(self, n):
-            self.size_hint = n
+        name: ClassVar[str] = "peak"
+        size_field: ClassVar[str] = "n"
 
-        def log_z(self, beta, lam):
-            return self.size_hint**1.5 * np.logaddexp(beta, -beta)
+        def _log_z(self, beta, lam):
+            return self.n**1.5 * np.logaddexp(beta, -beta)
 
     t_axis = np.linspace(0.5, 1.5, 21)
-    verdict = classify_transition(PeakModel, 0.0, [10, 100, 1000], t_axis, 0.01)
+    verdict = classify_transition(PeakModel(), 0.0, [10, 100, 1000], t_axis, 0.01)
     assert verdict == TYPE_A
 
 
-class SpinFamily:
+@dataclass(frozen=True)
+class SpinFamily(core.ThermoModel):
     """n free spins, lnZ = n ln(2 cosh beta), plus n extra(beta); extra is 0 here."""
 
-    name = "spins"
+    n: int = 1
 
-    def __init__(self, n):
-        self.size_hint = n
+    name: ClassVar[str] = "spins"
+    size_field: ClassVar[str] = "n"
 
     def extra(self, beta):
         return 0.0
 
-    def log_z(self, beta, lam):
-        return self.size_hint * (np.logaddexp(beta, -beta) + self.extra(np.asarray(beta)))
+    def _log_z(self, beta, lam):
+        return self.n * (np.logaddexp(beta, -beta) + self.extra(np.asarray(beta)))
 
 
 def refinement_ratio(model, t_axis, delta_t):
@@ -591,12 +593,12 @@ def test_classify_synthetic_peaks_growing_out_of_order_are_undetermined():
     # the per-site peak is scale x the free spin's: it ends 4x higher, but
     # dips on the way, and a smooth peak fails the divergence proxy
     class OutOfOrder(SpinFamily):
-        def log_z(self, beta, lam):
-            scale = {10: 1.0, 20: 0.5, 40: 4.0}[self.size_hint]
-            return scale * super().log_z(beta, lam)
+        def _log_z(self, beta, lam):
+            scale = {10: 1.0, 20: 0.5, 40: 4.0}[self.n]
+            return scale * super()._log_z(beta, lam)
 
     t_axis = np.linspace(0.5, 1.5, 21)
-    assert classify_transition(OutOfOrder, 0.0, [10, 20, 40], t_axis, 0.001) == UNDETERMINED
+    assert classify_transition(OutOfOrder(), 0.0, [10, 20, 40], t_axis, 0.001) == UNDETERMINED
 
 
 def test_classify_synthetic_refinement_stable_jump_is_type_b():
@@ -608,21 +610,37 @@ def test_classify_synthetic_refinement_stable_jump_is_type_b():
 
     t_axis = np.linspace(0.5, 1.5, 21)
     assert refinement_ratio(Jump(10), t_axis, 0.001) >= 0.9
-    assert classify_transition(Jump, 0.0, [10, 20, 40], t_axis, 0.001) == TYPE_B
+    assert classify_transition(Jump(), 0.0, [10, 20, 40], t_axis, 0.001) == TYPE_B
+
+
+@dataclass(frozen=True)
+class Bump(SpinFamily):
+    """A smooth Cv bump of the given width in beta at T = t_bump."""
+
+    width: float = 0.01
+    t_bump: float = 1.01
+
+    def extra(self, beta):
+        return self.width**2 * np.logaddexp(0.0, (beta - 1.0 / self.t_bump) / self.width)
 
 
 def test_classify_synthetic_smooth_bump_between_the_bands_is_undetermined():
-    # a smooth Cv bump of width 0.01 in beta at T = 1.01 is about as narrow as
-    # the T spacing: refining the axis shrinks its largest step by a ratio in
+    # a bump of width 0.01 at T = 1.01 is about as narrow as the T spacing:
+    # refining the axis shrinks its largest step by a ratio in
     # [SMOOTHNESS_RATIO, 0.9), neither a resolved curve nor a stable jump
-    class Bump(SpinFamily):
-        def extra(self, beta):
-            width = 0.01
-            return width**2 * np.logaddexp(0.0, (beta - 1.0 / 1.01) / width)
-
     t_axis = np.linspace(0.5, 1.5, 21)
     assert scan.SMOOTHNESS_RATIO <= refinement_ratio(Bump(10), t_axis, 0.001) < 0.9
-    assert classify_transition(Bump, 0.0, [10, 20, 40], t_axis, 0.001) == UNDETERMINED
+    assert classify_transition(Bump(), 0.0, [10, 20, 40], t_axis, 0.001) == UNDETERMINED
+
+
+def test_classify_synthetic_bump_narrower_than_the_grid_is_undetermined():
+    # a bump of width 0.005 at T = 1.02 falls between grid rows: the refined
+    # axis lands near its centre, and its largest step grows about fourfold,
+    # which is no refinement-stable jump
+    bump = Bump(width=0.005, t_bump=1.02)
+    t_axis = np.linspace(0.5, 1.5, 21)
+    assert refinement_ratio(bump, t_axis, 0.001) > 1.0 / scan.STABLE_RATIO
+    assert classify_transition(bump, 0.0, [10, 20, 40], t_axis, 0.001) == UNDETERMINED
 
 
 def test_chi_beta_cv_field_identity():
