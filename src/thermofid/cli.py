@@ -200,17 +200,16 @@ def resolve_scan_config(cfg):
         if not lambdas or not _numbers(lambdas):
             raise ConfigError("classify.lambdas", "must be a non-empty list of numbers")
         classify = dict(classify, lambdas=[float(v) for v in lambdas])
-        if model.size_field is None:
-            raise ConfigError("classify", f"model {model.name!r} has no size parameter")
 
     try:
         grid = build_grid(cfg)
         scan.check_request(model, grid, fields)
         core.check_positive("jump_threshold", detect["jump_threshold"])
-        if detect.get("jumps") or classify is not None:
-            core.check_uniform(grid.t_axis, "t_axis")  # as locate_jumps and the classifier do
+        if detect.get("jumps"):
+            core.check_uniform(grid.t_axis, "t_axis")  # as locate_jumps does
         if classify is not None:
-            scan.check_classify(model, classify["lambdas"], classify["sizes"])
+            scan.check_classify(model, classify["lambdas"], classify["sizes"], grid.t_axis,
+                                grid.delta_t)
     except DomainError as exc:
         raise ConfigError(_CONFIG_KEYS.get(exc.key, exc.key or "config"), str(exc)) from exc
 

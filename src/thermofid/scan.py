@@ -312,14 +312,14 @@ def _monotone_increasing(values, slack):
     return all(values[i + 1] > values[i] * (1.0 - slack) for i in range(len(values) - 1))
 
 
-def check_classify(model, lambdas, sizes):
-    """model with its size_field set to each of sizes, once classify_transition can use them.
+def check_classify(model, lambdas, sizes, t_axis, delta_t):
+    """(model at each of sizes, t_axis as an axis), once classify_transition can use them.
 
     Fewer than three sizes raise InsufficientSizes, a DomainError. It and the
     DomainError for a model without a size_field, or for sizes that are not
-    strictly increasing or that the model rejects, are keyed "sizes"; a lam
-    that is not finite or lies outside the model's lambda_domain raises one
-    keyed "lambdas".
+    strictly increasing or that the model rejects, are keyed "sizes". A lam
+    that is not finite or outside the model's lambda_domain is keyed "lambdas",
+    a non-uniform t_axis "t_axis", and a lowest T <= delta_t "delta_t".
     """
     if model.size_field is None:
         raise DomainError(f"{model.name} has no size parameter", key="sizes")
@@ -334,7 +334,10 @@ def check_classify(model, lambdas, sizes):
         raise DomainError(str(exc), key="sizes") from exc
     for lam in lambdas:
         core.check_lambda(family[0], lam, key="lambdas")
-    return family
+    t_axis = core.check_uniform(t_axis, "t_axis")
+    if t_axis[0] <= delta_t:
+        raise DomainError(f"T must exceed delta_t = {delta_t}, got {t_axis[0]}", key="delta_t")
+    return family, t_axis
 
 
 def classify_transition(model, lam, sizes, t_axis, delta_t):
@@ -343,10 +346,10 @@ def classify_transition(model, lam, sizes, t_axis, delta_t):
     Per-site specific-heat columns of model at each of sizes drive the decision,
     in order:
       - peaks growing monotonically by more than GROWTH_FACTOR -> TypeA;
-      - the largest-size peak probed with stencil steps {2 dT, dT, dT/2}:
-        strictly increasing values sustaining DIVERGENCE_GROWTH overall are
-        the divergence proxy -> TypeA (covers thermodynamic-limit formulas
-        with no size knob, whose per-site columns are size-independent);
+      - the largest-size peak cell and its one-T columns at steps 2 dT and
+        dT/2, strictly increasing and sustaining DIVERGENCE_GROWTH overall,
+        are the divergence proxy -> TypeA (a failed probe cell is NaN and
+        does not fire; covers size-independent thermodynamic-limit formulas);
       - the maximal one-grid-step change ("jump statistic") growing
         monotonically with size by more than STEP_GROWTH_FACTOR -> TypeB
         (a developing discontinuity steepens with size at bounded height);
@@ -357,8 +360,7 @@ def classify_transition(model, lam, sizes, t_axis, delta_t):
         between the two bands or a step that grows under refinement (an
         unresolved feature narrower than the grid) -> Undetermined.
     """
-    family = check_classify(model, [lam], sizes)
-    t_axis = core.check_uniform(t_axis, "t_axis")
+    family, t_axis = check_classify(model, [lam], sizes, t_axis, delta_t)
 
     columns = [_cv_column(sized, lam, t_axis, delta_t) for sized in family]
     if any(np.isnan(col).all() for col in columns):
@@ -370,11 +372,10 @@ def classify_transition(model, lam, sizes, t_axis, delta_t):
         return TYPE_A
 
     largest = family[-1]
-    t_peak = float(t_axis[int(np.nanargmax(columns[-1]))])
-    point = core.ThermoPoint(1.0 / t_peak, lam)
-    refined = [core.specific_heat(largest, point, delta_t * 2.0 ** (1 - k)) / largest.size_hint
-               for k in range(3)]
-    if refined[0] < refined[1] < refined[2] and refined[2] > DIVERGENCE_GROWTH * refined[0]:
+    k = int(np.nanargmax(columns[-1]))
+    wide, narrow = (_cv_column(largest, lam, t_axis[k:k + 1], step)[0]
+                    for step in (2.0 * delta_t, 0.5 * delta_t))
+    if wide < columns[-1][k] < narrow and narrow > DIVERGENCE_GROWTH * wide:
         return TYPE_A
 
     if peaks[-1] > GROWTH_FACTOR * peaks[0]:

@@ -186,6 +186,20 @@ def test_scan_classification_in_report(tmp_path, capsys):
     ]
 
 
+def test_scan_classifies_a_below_resolution_column(tmp_path, capsys):
+    # the largest size's peak cell is an exact -0.0 among NaN cells; its
+    # probe cells fail as NaN, fire no rule, and the run writes its report
+    cfg = dict(minimal_config(tmp_path), model={"name": "tim1d"},
+               grid={"lambda": [0.0, 0.5], "t": {"start": 0.03, "stop": 0.06, "num": 5}},
+               delta_t=0.002, failure_budget=1.0,
+               classify={"sizes": [1, 2, 4], "lambdas": [0.0]})
+    assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["classifications"] == [
+        {"lambda": 0.0, "sizes": [1, 2, 4], "classification": "Undetermined"}
+    ]
+
+
 def test_validate_all_checks_pass():
     report = cli.cmd_validate()
     failed = [c for c in report["checks"] if not c["passed"]]
@@ -376,6 +390,11 @@ def test_build_axis_specs():
     ({"grid": {"lambda": [0.0], "t": [0.5, 0.6, 0.8, 1.1]}, "fields": ["F_beta"],
       "detect": {"minima": "F_beta"}, "classify": {"sizes": [4, 8, 16], "lambdas": [0.0]},
       "model": {"name": "tim1d"}}, "grid.t"),
+    # the classifier's 2 dT probe would step below T = 0 at the lowest T
+    ({"model": {"name": "ising2d", "coupling_j": 0.003},
+      "grid": {"lambda": [0.0], "t": {"start": 0.0052, "stop": 0.0075, "num": 24}},
+      "fields": ["Cv"], "classify": {"sizes": [1, 2, 4], "lambdas": [0.0]}}, "delta_t"),
+    ({"classify": {"sizes": [10, 20, 40], "lambdas": [0.0]}}, "classify.sizes"),  # two_level
 ])
 def test_scan_rejects_bad_value_before_output(tmp_path, capsys, change, key):
     cfg = dict(minimal_config(tmp_path), **change)

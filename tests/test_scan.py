@@ -529,17 +529,46 @@ def test_classify_validation():
     with pytest.raises(DomainError):
         classify_transition(Tim1D(), 0.5, [10, 10, 20], t_axis, 0.01)
     with pytest.raises(DomainError) as info:
-        scan.check_classify(Tim1D(), [math.inf], [10, 20, 40])
+        scan.check_classify(Tim1D(), [math.inf], [10, 20, 40], t_axis, 0.01)
     assert info.value.key == "lambdas"
     with pytest.raises(DomainError) as info:
-        scan.check_classify(TwoLevel(), [0.0], [10, 20, 40])  # no size_field
+        scan.check_classify(TwoLevel(), [0.0], [10, 20, 40], t_axis, 0.01)  # no size_field
     assert info.value.key == "sizes"
+    with pytest.raises(DomainError) as info:
+        classify_transition(Tim1D(), 0.5, [10, 20, 40], [0.5, 0.6, 0.8], 0.01)
+    assert info.value.key == "t_axis"
+    # the 2 dT probe's stencil steps to T - dT, so the lowest T must exceed dT
+    with pytest.raises(DomainError) as info:
+        classify_transition(Tim1D(), 0.5, [10, 20, 40], t_axis, 0.5)
+    assert info.value.key == "delta_t"
+    family, axis = scan.check_classify(Tim1D(), [0.5], [10, 20, 40], list(t_axis), 0.01)
+    assert [sized.n_sites for sized in family] == [10, 20, 40]
+    assert np.array_equal(axis, t_axis)
 
 
 def test_classify_tim_crossover():
     t_axis = np.round(np.arange(0.3, 1.50001, 0.025), 10)
     verdict = classify_transition(Tim1D(), 0.9, [100, 200, 400], t_axis, 0.002)
     assert verdict == CROSSOVER
+
+
+def test_classify_makes_one_lnz_call_per_column(tmp_path):
+    # one coarse column per size, the 2 dT and dT/2 probe cells, and the fine
+    # column: the probe's dT value is the largest size's own peak cell
+    names = traced_span_names(tmp_path, (
+        "import numpy as np\n"
+        "t_axis = np.round(np.arange(0.3, 1.50001, 0.025), 10)\n"
+        "scan.classify_transition(models.Tim1D(), 0.9, [100, 200, 400], t_axis, 0.002)"))
+    assert names.count("scan.classify_transition") == 1
+    assert names.count("models.tim1d.log_z") == 3 + 3
+
+
+def test_classify_below_resolution_column_is_undetermined():
+    # every size's Cv column is [-0.0, nan, nan, nan, nan]: the -0.0 cell is
+    # three bitwise-equal free energies, the others are below the stencil's
+    # noise floor. The probe at the -0.0 cell fails as NaN, and a NaN fires no rule
+    t_axis = np.linspace(0.03, 0.06, 5)
+    assert classify_transition(Tim1D(), 0.0, [1, 2, 4], t_axis, 0.002) == UNDETERMINED
 
 
 def test_classify_ising_divergence():
@@ -641,6 +670,65 @@ def test_classify_synthetic_bump_narrower_than_the_grid_is_undetermined():
     t_axis = np.linspace(0.5, 1.5, 21)
     assert refinement_ratio(bump, t_axis, 0.001) > 1.0 / scan.STABLE_RATIO
     assert classify_transition(bump, 0.0, [10, 20, 40], t_axis, 0.001) == UNDETERMINED
+
+
+@dataclass(frozen=True)
+class DrawnFamily(core.ThermoModel):
+    """n sites with one drawn shape of per-site Cv, placed at T = t0.
+
+    peak: a free spin with its Cv peak near t0, scaled by n^power;
+    step: a free spin plus a Cv step of height beta^2 at t0, whose linear
+    ramp in beta narrows as width / n;
+    bump: a free spin plus a Cv bump of fixed width in beta at t0;
+    flat: no excitations, lnZ = n beta;
+    below: a free spin under a ground energy so deep that its Cv is below
+    the stencil's noise floor.
+    """
+
+    n: int = 1
+    shape: str = "peak"
+    t0: float = 1.0
+    width: float = 0.01
+    power: float = 0.5
+
+    name: ClassVar[str] = "drawn"
+    size_field: ClassVar[str] = "n"
+
+    def _log_z(self, beta, lam):
+        beta = np.asarray(beta, dtype=float)
+        spin = np.logaddexp(beta, -beta)
+        x = beta - 1.0 / self.t0
+        if self.shape == "peak":
+            gap = 1.2 * self.t0  # the free spin's Cv peaks at beta gap = 1.2
+            return self.n**(1.0 + self.power) * np.logaddexp(beta * gap, -beta * gap)
+        if self.shape == "step":
+            w = self.width / self.n
+            s = np.clip(x / w + 0.5, 0.0, None)  # the ramp's twice-integrated form
+            extra = w**2 * np.where(s < 1.0, s**3 / 6.0, 0.5 * s**2 - 0.5 * s + 1.0 / 6.0)
+            return self.n * (spin + extra)
+        if self.shape == "bump":
+            return self.n * (spin + self.width**2 * np.logaddexp(0.0, x / self.width))
+        if self.shape == "flat":
+            return self.n * beta
+        return self.n * (1e14 * beta + spin)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(shape=st.sampled_from(["peak", "step", "bump", "flat", "below"]),
+       start=st.floats(0.05, 2.0), spacing=st.floats(1e-3, 0.2), rows=st.integers(2, 40),
+       where=st.floats(-0.2, 1.2), width=st.floats(1e-3, 0.2), power=st.floats(0.0, 1.0),
+       delta_t=st.floats(1e-5, 0.1),
+       sizes=st.sampled_from([[1, 2, 4], [10, 20, 40], [100, 200, 400, 800]]))
+def test_classify_drawn_family_returns_a_label_or_a_typed_error(
+        shape, start, spacing, rows, where, width, power, delta_t, sizes):
+    t_axis = start + spacing * np.arange(rows)
+    model = DrawnFamily(shape=shape, t0=start * (t_axis[-1] / start)**where, width=width,
+                        power=power)
+    try:
+        verdict = classify_transition(model, 0.0, sizes, t_axis, delta_t)
+    except (DomainError, EvaluationError):
+        return
+    assert verdict in (TYPE_A, TYPE_B, CROSSOVER, UNDETERMINED)
 
 
 def test_chi_beta_cv_field_identity():
