@@ -130,25 +130,11 @@ def _sweep_column(model, fields, lam, t_axis, delta_t, delta_lambda):
             betas.setdefault(at, []).append(beta)
     lnz = {}
     for at, parts in betas.items():
-        # each beta once, by exact value: sorted, then kept where it differs from its
-        # sorted neighbour. Python's sort merges the parts' monotone runs; a numpy sort
-        # would add its code pages to the scan's peak memory, and np.unique's first call
-        # imports numpy.ma
-        requested = np.concatenate(parts)
-        floats = requested.tolist()
-        order = np.fromiter(sorted(range(len(floats)), key=floats.__getitem__), np.intp,
-                            len(floats))
-        ordered = requested[order]
-        new = np.empty(ordered.size, dtype=bool)
-        new[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-        distinct = ordered[new]
+        distinct, slot = np.unique(np.concatenate(parts), return_inverse=True)
         try:
             values = model.log_z(distinct, at)
         except EvaluationError:
             values = np.full(distinct.size, math.nan)
-        slot = np.empty_like(order)  # each requested beta's index in distinct
-        slot[order] = np.cumsum(new) - 1
         lnz[at] = iter(values[slot].reshape(len(parts), -1))
     return np.array([getattr(core, name)(model, *args, lnz=[next(lnz[at]) for _, at in points])
                      for name, args, points in stencils])
@@ -345,14 +331,18 @@ def classify_transition(model, lam, sizes, t_axis, delta_t):
 
     Per-site specific-heat columns of model at each of sizes drive the decision,
     in order:
+      - a size whose maximal one-grid-step change ("jump statistic") is not a
+        finite positive number, or whose peak is not positive, resolves no
+        feature -> Undetermined;
       - peaks growing monotonically by more than GROWTH_FACTOR -> TypeA;
       - the largest-size peak cell and its one-T columns at steps 2 dT and
         dT/2, strictly increasing and sustaining DIVERGENCE_GROWTH overall,
         are the divergence proxy -> TypeA (a failed probe cell is NaN and
         does not fire; covers size-independent thermodynamic-limit formulas);
-      - the maximal one-grid-step change ("jump statistic") growing
-        monotonically with size by more than STEP_GROWTH_FACTOR -> TypeB
-        (a developing discontinuity steepens with size at bounded height);
+      - the jump statistic over the peak growing monotonically with size by
+        more than STEP_GROWTH_FACTOR -> TypeB (a developing discontinuity
+        steepens with size against its height; a peak that only grows
+        reaches the refinement rules below);
       - a jump statistic that shrinks under 2x grid refinement below
         SMOOTHNESS_RATIO of its value, the way a smooth resolved curve does
         -> Crossover; refinement-stable, within a factor STABLE_RATIO either
@@ -367,6 +357,8 @@ def classify_transition(model, lam, sizes, t_axis, delta_t):
         raise EvaluationError("specific-heat column evaluation failed for a size")
     peaks = [float(np.nanmax(col)) for col in columns]
     steps = [_max_step(col) for col in columns]
+    if not all(0.0 < step < math.inf and peak > 0.0 for step, peak in zip(steps, peaks)):
+        return UNDETERMINED
 
     if _monotone_increasing(peaks, slack=1e-9) and peaks[-1] > GROWTH_FACTOR * peaks[0]:
         return TYPE_A
@@ -381,7 +373,9 @@ def classify_transition(model, lam, sizes, t_axis, delta_t):
     if peaks[-1] > GROWTH_FACTOR * peaks[0]:
         return UNDETERMINED
 
-    if _monotone_increasing(steps, slack=0.1) and steps[-1] > STEP_GROWTH_FACTOR * steps[0]:
+    sharpness = [step / peak for step, peak in zip(steps, peaks)]
+    if (_monotone_increasing(sharpness, slack=0.1)
+            and sharpness[-1] > STEP_GROWTH_FACTOR * sharpness[0]):
         return TYPE_B
 
     fine_axis = np.linspace(t_axis[0], t_axis[-1], 2 * t_axis.size - 1)

@@ -1,4 +1,5 @@
-"""The README's library quick start runs as written against the package namespace."""
+"""The README's library quick start runs as written, and its classifier note states the
+classifier's thresholds as the code sets them."""
 
 import ast
 import contextlib
@@ -8,7 +9,7 @@ import pathlib
 import re
 
 import thermofid
-from thermofid import cli
+from thermofid import cli, scan
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +37,13 @@ def test_readme_quick_start_runs_against_package_namespace():
     printed = out.getvalue().splitlines()[-1]
     head, tail = source.strip().splitlines()[-1].split("# ", 1)[1].split("...")
     assert printed.startswith(head) and printed.endswith(tail), printed
+
+
+def test_readme_classifier_thresholds_match_the_code():
+    note = README.read_text().split("- The classifier is a stated heuristic", 1)[1]
+    note = note.split("\n- ", 1)[0]
+    stated = dict(re.findall(r"`([A-Z_]+)` = ([0-9.]+)", note))
+    assert set(stated) == {"GROWTH_FACTOR", "DIVERGENCE_GROWTH", "STEP_GROWTH_FACTOR",
+                           "SMOOTHNESS_RATIO", "STABLE_RATIO"}
+    for name, value in stated.items():
+        assert float(value) == getattr(scan, name), name

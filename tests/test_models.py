@@ -677,6 +677,26 @@ def test_fixed_rules_match_mpmath(kind, lam, t):
     assert_log_z_matches_mpmath(kind, lam, t)
 
 
+# the acceptance tests' own Ising2D and Tim1D grids, as (kind, lam axis, T axis,
+# how many T of it to check, ends included): one mpmath lnZ takes about 20 ms
+ACCEPTANCE_GRIDS = {
+    "criterion 1": ("ising", [0.0],
+                    cli.build_axis({"start": 1.5, "stop": 3.5, "step": 0.005}, "t"), 8),
+    "criterion 3": ("tim", [1.0], np.linspace(0.2, 2.0, 10), 10),
+    "criterion 6 classifier": ("tim", [0.9], np.round(np.arange(0.3, 1.50001, 0.025), 10), 8),
+    "criterion 6 ridge": ("tim", [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9],
+                          np.round(np.arange(0.04, 1.2001, 0.005), 10), 4),
+}
+
+
+@pytest.mark.parametrize("grid", ACCEPTANCE_GRIDS)
+def test_log_z_matches_mpmath_on_acceptance_grids(grid):
+    kind, lams, t_axis, count = ACCEPTANCE_GRIDS[grid]
+    for t in t_axis[np.linspace(0, t_axis.size - 1, count).round().astype(int)]:
+        for lam in lams:
+            assert_log_z_matches_mpmath(kind, lam, float(t))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(t=st.floats(1.0, 5.0))
 def test_ising_log_z_matches_mpmath_on_drawn_temperatures(t):

@@ -566,9 +566,16 @@ def test_classify_makes_one_lnz_call_per_column(tmp_path):
 def test_classify_below_resolution_column_is_undetermined():
     # every size's Cv column is [-0.0, nan, nan, nan, nan]: the -0.0 cell is
     # three bitwise-equal free energies, the others are below the stencil's
-    # noise floor. The probe at the -0.0 cell fails as NaN, and a NaN fires no rule
+    # noise floor, so no size has a finite jump statistic
     t_axis = np.linspace(0.03, 0.06, 5)
     assert classify_transition(Tim1D(), 0.0, [1, 2, 4], t_axis, 0.002) == UNDETERMINED
+
+
+def test_classify_column_of_zeros_is_undetermined():
+    # a frozen ground state: every Cv cell is -0.0, so every size's jump
+    # statistic and peak are 0
+    t_axis = np.linspace(0.1, 0.2, 5)
+    assert classify_transition(Ising2D(), 0.0, [1, 2, 4], t_axis, 0.01) == UNDETERMINED
 
 
 def test_classify_ising_divergence():
@@ -728,7 +735,19 @@ def test_classify_drawn_family_returns_a_label_or_a_typed_error(
         verdict = classify_transition(model, 0.0, sizes, t_axis, delta_t)
     except (DomainError, EvaluationError):
         return
+    if shape in ("flat", "below"):  # no finite positive jump statistic
+        assert verdict == UNDETERMINED
     assert verdict in (TYPE_A, TYPE_B, CROSSOVER, UNDETERMINED)
+
+
+@pytest.mark.parametrize("sizes", [[10, 20, 40], [100, 200, 400]])
+def test_classify_smooth_peak_growing_below_growth_factor_is_crossover(sizes):
+    # the peak doubles over the sizes, below GROWTH_FACTOR, and its jump
+    # statistic doubles with it: the step does not steepen against the peak,
+    # so refinement decides, and a smooth resolved curve is a crossover
+    model = DrawnFamily(shape="peak", t0=0.3176, power=0.5)
+    t_axis = 0.3 + 0.005 * np.arange(11)
+    assert classify_transition(model, 0.0, sizes, t_axis, 0.001) == CROSSOVER
 
 
 def test_chi_beta_cv_field_identity():
