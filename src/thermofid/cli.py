@@ -304,7 +304,10 @@ def read_field_csv(path):
 def cmd_scan(config_path, threads=None):
     resolved, model, grid = resolve_scan_config(load_config(config_path))
     if threads is None:
-        threads = resolved.get("threads") or os.cpu_count() or 1
+        # the CPUs this process may run on, where the platform says, not the host's
+        affinity = getattr(os, "sched_getaffinity", None)
+        available = len(affinity(0)) if affinity else os.cpu_count() or 1
+        threads = resolved.get("threads") or available
 
     core.warn_if_large_steps(float(grid.t_axis[0]), float(np.abs(grid.lambda_axis).min()),
                              grid.delta_t, grid.delta_lambda)
@@ -571,7 +574,7 @@ def main(argv=None):
     p_scan = sub.add_parser("scan", help="sweep a model over a lam-T grid")
     p_scan.add_argument("config", help="JSON run configuration")
     p_scan.add_argument("--threads", type=int, default=None,
-                        help="most pool workers, at most one per lambda column "
+                        help="most helper processes, at most one per lambda column "
                              "(default: available parallelism)")
 
     sub.add_parser("validate", help="run the dense-oracle consistency suite")

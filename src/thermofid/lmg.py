@@ -145,7 +145,7 @@ class Lmg(ThermoModel):
             raise DomainError(f"n_spins must be >= 2, got {self.n_spins}", key="n_spins")
         if not 0.0 <= self.gamma <= 1.0:
             raise DomainError(f"gamma must be in [0, 1], got {self.gamma}", key="gamma")
-        _load_scipy()  # here, so a scan imports it while configured, before its pool forks
+        _load_scipy()  # here, so a scan imports it while configured, before its helpers fork
 
     def _log_z(self, beta, lam):
         """Full 2^N-trace lnZ: degeneracy-weighted sum over all spin sectors.

@@ -3,8 +3,10 @@
 Lambda columns are the work items: a column makes one lnZ call per lam its
 fields' core stencils read, on the distinct betas of their points, and each
 field's core function combines its share. A sweep maps columns over the lam
-axis, on a process pool with one column per task when there is more than one
-column to share.
+axis. When there is more than one column to share, the axis is cut into
+contiguous lam shares, one per forked helper process, and each helper sends
+its share's columns back in one message; a serial or one-column sweep runs
+in-process and loads no process machinery.
 The classifier's specific-heat columns come from the same function. Columns
 are assembled by lam index, so serial and parallel runs produce bit-identical
 fields. Cells whose evaluation fails are recorded as NaN and skipped by the
@@ -14,7 +16,6 @@ detectors.
 import dataclasses
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,13 +168,74 @@ def check_request(model, grid, fields):
         core.check_lambda(model, lam, key="delta_lambda")
 
 
+def _sweep_share(column, lams, receiver, sender):
+    """A helper's work: send its share's columns, or the exception they raised, in one message."""
+    receiver.close()  # the parent's end; once the parent closes it too, a blocked send fails
+    try:
+        result = [column(lam) for lam in lams]
+    except Exception as exc:
+        result = exc
+    try:
+        sender.send(result)
+    except BrokenPipeError:  # the parent stopped reading when another share failed
+        pass
+
+
+def _start_helper(context, column, lams):
+    """(process, receiver) of a forked helper sweeping the lam share lams."""
+    receiver, sender = context.Pipe(duplex=False)
+    process = context.Process(target=_sweep_share, args=(column, lams, receiver, sender))
+    process.start()
+    sender.close()  # so the receiver reads EOF if the helper exits without sending
+    return process, receiver
+
+
+def _sweep_shares(column, shares):
+    """Every share's columns in share order, each share swept by a forked helper.
+
+    The first share's failure is raised; a helper that exits without sending
+    is an EvaluationError naming its share and exit code. Closing every
+    receiver before the joins releases a helper still blocked in send.
+    """
+    import multiprocessing  # here, so a serial or one-column sweep never loads it
+
+    # fork, whatever the platform default: a helper inherits the configured
+    # model, with its solver loaded, and the parent's after-fork hooks
+    context = multiprocessing.get_context("fork")
+    helpers = []
+    try:
+        for lams in shares:
+            helpers.append(_start_helper(context, column, lams))
+        columns = []
+        for (process, receiver), lams in zip(helpers, shares):
+            try:
+                result = receiver.recv()
+            except EOFError:
+                process.join()
+                raise EvaluationError(
+                    f"the helper process for lambda {lams[0]:g}..{lams[-1]:g} exited with "
+                    f"code {process.exitcode} before sending its columns") from None
+            if isinstance(result, Exception):
+                raise result
+            columns += result
+        return columns
+    finally:
+        for _, receiver in helpers:
+            receiver.close()
+        for process, _ in helpers:
+            process.join()
+
+
 def sweep(model, grid, fields, threads=1):
     """Evaluate the requested fields at every grid cell, one lam column per work item.
 
     Returns one ScanField per requested name, in request order. Per-cell
     evaluation failures become NaN markers; domain errors (a structurally
-    invalid request) propagate. threads caps the pool's workers, which are
-    never more than the columns; with one worker the columns run in-process.
+    invalid request) propagate. threads caps the helper processes, which are
+    never more than the columns: with workers = min(threads, columns) above
+    one, the lam axis is split into that many contiguous shares, each swept
+    by a forked helper; otherwise the columns run in-process. An exception a
+    helper raises reaches the caller with its type.
     """
     fields = tuple(fields)
     check_request(model, grid, fields)
@@ -181,8 +243,7 @@ def sweep(model, grid, fields, threads=1):
                                delta_t=grid.delta_t, delta_lambda=grid.delta_lambda)
     workers = min(threads or 1, grid.lambda_axis.size)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(column, grid.lambda_axis))
+        columns = _sweep_shares(column, np.array_split(grid.lambda_axis, workers))
     else:
         columns = [column(lam) for lam in grid.lambda_axis]
 

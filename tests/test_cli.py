@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from thermofid import cli, core, scan
+from thermofid import cli, core, models, scan
 from thermofid.errors import ConfigError
 
 
@@ -117,6 +117,23 @@ def test_scan_failure_budget_exit_3(tmp_path, capsys):
     code = cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"])
     assert code == 3
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.usefixtures("helper_deadline")
+def test_scan_helper_exit_is_an_evaluation_error_exit_3(tmp_path, monkeypatch, capsys):
+    # lnZ ends the helper's process for lam in the second of two shares, [0.2, 0.3]
+    log_z = models.TwoLevel._log_z
+
+    def exits_above(self, beta, lam):
+        if lam > 0.15:
+            os._exit(3)
+        return log_z(self, beta, lam)
+
+    monkeypatch.setattr(models.TwoLevel, "_log_z", exits_above)
+    code = cli.main(["scan", write_config(tmp_path, minimal_config(tmp_path)), "--threads", "2"])
+    assert code == 3
+    assert ("evaluation error - the helper process for lambda 0.2..0.3 exited with code 3"
+            in capsys.readouterr().err)
 
 
 def test_scan_warns_on_large_perturbation(tmp_path, capsys):

@@ -151,6 +151,46 @@ def test_one_column_scan_starts_no_pool(tmp_path):
     assert scan_imports(tmp_path, "ising_ridge", threads=2) == []
 
 
+def process_modules_after_scans(tmp_path, configs, prelude=""):
+    """multiprocessing and concurrent modules loaded once cli.cmd_scan ran each config."""
+    return fresh(tmp_path, (
+        "import json, os, sys\n"
+        f"{prelude}"
+        "from thermofid import cli\n"
+        f"for k, config in enumerate({configs!r}):\n"
+        "    with open(f'{k}.json', 'w') as fh:\n"
+        "        json.dump(dict(config, output_dir=f'out{k}'), fh)\n"
+        "    cli.cmd_scan(f'{k}.json')\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] in ('multiprocessing', 'concurrent'))))"))
+
+
+def two_level_scan(lambdas, **overrides):
+    """A two_level_field Cv scan over lambdas, without its output_dir."""
+    grid = {"lambda": lambdas, "t": [0.5, 1.0]}
+    return {"model": {"name": "two_level_field"}, "grid": grid, "delta_t": 0.01,
+            "fields": ["Cv"], **overrides}
+
+
+def test_scans_that_share_no_columns_load_no_process_machinery(tmp_path):
+    # a serial or one-column scan forks no helper, so it loads nothing that forks
+    configs = [two_level_scan([0.5, 1.0], threads=1), two_level_scan([0.5], threads=2)]
+    assert process_modules_after_scans(tmp_path, configs) == []
+
+
+def test_two_column_scan_forks_its_helpers(tmp_path):
+    # the positive control of the test above: the import happens where helpers fork
+    loaded = process_modules_after_scans(tmp_path, [two_level_scan([0.5, 1.0], threads=2)])
+    assert "multiprocessing" in loaded
+    assert not any(m.startswith("concurrent") for m in loaded)
+
+
+def test_default_threads_count_the_cpus_this_process_may_use(tmp_path):
+    # one CPU of an eight-CPU host leaves nothing to share columns with
+    prelude = "os.sched_getaffinity = lambda pid: {0}\nos.cpu_count = lambda: 8\n"
+    assert process_modules_after_scans(tmp_path, [two_level_scan([0.5, 1.0])], prelude) == []
+
+
 def test_traced_scan_loads_no_scipy(tmp_path):
     # bench/tracer.py wraps lmg.eigh_tridiagonal by name; reading it must not
     # import scipy, or a traced Ising or chain scan measures a process with it

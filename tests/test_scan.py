@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -378,7 +379,7 @@ def test_sweep_parallel_bitwise_identical():
     # more columns than workers, one column, and more workers than columns;
     # Ising2D is defined at lam = 0 only, so it takes the one-column case.
     # A one-column sweep runs in-process whatever threads says, so those
-    # cases check the in-process path; the multi-column ones use the pool
+    # cases check the in-process path; the multi-column ones fork helpers
     several = ((np.linspace(0.1, 0.9, 3), 2), (np.array([0.4]), 2), (np.array([0.2, 0.7]), 3))
     for model, cases, fields in ((TwoLevelField(), several, ["F_beta", "Cv", "chi"]),
                                  (Tim1D(), several, ["F_beta", "Cv", "chi"]),
@@ -393,19 +394,91 @@ def test_sweep_parallel_bitwise_identical():
 
 @pytest.mark.parametrize("columns, threads, workers", [(1, 2, None), (2, 3, 2), (3, 2, 2)])
 def test_sweep_starts_at_most_one_worker_per_column(monkeypatch, columns, threads, workers):
-    # a pool worker without a column to take costs start-up and does nothing
+    # a helper without a column to take costs a fork and does nothing; the
+    # helpers' lam shares cover the axis in order
     started = []
+    start_helper = scan._start_helper
 
-    class RecordingPool(scan.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def recording(context, column, lams):
+        started.append(lams)
+        return start_helper(context, column, lams)
 
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scan, "_start_helper", recording)
     grid = ScanGrid(np.linspace(0.2, 0.8, columns), np.linspace(0.8, 1.6, 3), delta_t=0.01)
     field = sweep(TwoLevelField(), grid, ["Cv"], threads=threads)[0]
     assert np.isfinite(field.values).all()
-    assert started == ([] if workers is None else [workers])
+    assert len(started) == (workers or 0)
+    if started:
+        assert np.array_equal(np.concatenate(started), grid.lambda_axis)
+
+
+class ShareFailingModel(core.ThermoModel):
+    """Free spin whose lnZ at lam above lam_fail raises DomainError, or exits its process."""
+
+    name = "share_failing"
+
+    def __init__(self, lam_fail, exits=False):
+        self.lam_fail = lam_fail
+        self.exits = exits
+
+    def _log_z(self, beta, lam):
+        if lam > self.lam_fail:
+            if self.exits:
+                os._exit(3)
+            raise DomainError(f"no lnZ above lam = {self.lam_fail}", key="lam_fail")
+        return np.logaddexp(beta, -beta)
+
+
+@pytest.mark.usefixtures("helper_deadline")
+def test_sweep_helper_exception_keeps_its_type_and_key():
+    # the second of two shares, [0.633, 0.9], fails in its helper
+    grid = ScanGrid(np.linspace(0.1, 0.9, 4), np.linspace(0.8, 1.6, 3), delta_t=0.01)
+    for threads in (1, 2):
+        with pytest.raises(DomainError) as raised:
+            sweep(ShareFailingModel(0.5), grid, ["Cv"], threads=threads)
+        assert raised.value.key == "lam_fail"
+
+
+@pytest.mark.usefixtures("helper_deadline")
+def test_sweep_helper_that_exits_without_sending_is_an_evaluation_error():
+    grid = ScanGrid(np.linspace(0.1, 0.9, 4), np.linspace(0.8, 1.6, 3), delta_t=0.01)
+    with pytest.raises(EvaluationError,
+                       match=r"lambda 0\.633333\.\.0\.9 exited with code 3 before sending"):
+        sweep(ShareFailingModel(0.5, exits=True), grid, ["Cv"], threads=2)
+
+
+def test_sweep_releases_a_helper_blocked_sending_after_a_failure():
+    # the first share fails at once; the second's 20,000-T column does not fit
+    # a pipe's buffer, so its helper blocks in send until the sweep, which
+    # stops reading at the failure, closes its end; a helper left blocked
+    # would make the join hang past the timeout
+    script = (
+        "import numpy as np\n"
+        "from thermofid import core, scan\n"
+        "from thermofid.errors import DomainError\n"
+        "class Model(core.ThermoModel):\n"
+        "    name = 'fails_low'\n"
+        "    def _log_z(self, beta, lam):\n"
+        "        if lam < 0.5:\n"
+        "            raise DomainError('no lnZ below lam = 0.5', key='lam')\n"
+        "        return np.logaddexp(beta, -beta)\n"
+        "grid = scan.ScanGrid([0.1, 0.9], np.linspace(0.8, 1.6, 20000), delta_t=0.01)\n"
+        "try:\n"
+        "    scan.sweep(Model(), grid, ['Cv'], threads=2)\n"
+        "except DomainError as exc:\n"
+        "    print(exc.key)\n")
+    path = os.pathsep.join([str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    # its own process group, so that a timeout kills a blocked helper with it
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        raise
+    assert (proc.returncode, out.split(), err) == (0, ["lam"], "")
 
 
 def test_fidelity_field_in_unit_interval():
