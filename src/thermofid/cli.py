@@ -1,8 +1,8 @@
-"""Command-line front end: scans, validation suite, mean-field tables, line extraction.
+"""Command-line front end: reads configurations and writes results, nothing more.
 
 Subcommands:
   scan <config>       sweep a model over a lam-T grid, write CSV fields and lines
-  validate            run the dense-oracle consistency suite, JSON verdicts
+  validate            run the dense-oracle suite, exact.VALIDATION_CHECKS, JSON verdicts
   meanfield --lambda  critical temperatures and order-parameter curves
   boundary <config>   minima/jump extraction on a precomputed field file
 
@@ -15,14 +15,13 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from . import core, exact, lmg, models, scan
+from . import core, lmg, models, scan
 from .errors import ConfigError, DomainError, EvaluationError, ThermofidError
 
 OUTPUT_DIR_ENV = "THERMOFID_OUTPUT_DIR"
@@ -65,14 +64,24 @@ def load_config(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's int-to-string digit limit
+        raise ConfigError(path, f"invalid JSON: {exc}") from exc
+
+
+def _number(value, kind, key):
+    """value read as a kind, int or float: an int counts as a float, a bool as neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise ConfigError(key, f"must be of type {kind.__name__}, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # JSON readers accept NaN, Infinity and any int
+        raise ConfigError(key, f"must be finite as a float, got {value}")
+    return float(value) if kind is float else value
 
 
 def _require(cfg, key, kind, path, default=_REQUIRED):
-    """cfg[key] checked to be a kind (an int counts as a float, a bool as neither).
+    """cfg[key] checked to be a kind; a number, int or float, by _number's rule.
 
-    A float must be finite: JSON readers accept NaN and Infinity. An absent
-    key yields default, and so does null when default is None; without a
-    default the key is required.
+    An absent key yields default, and so does null when default is None;
+    without a default the key is required.
     """
     full = f"{path}.{key}" if path else key
     if key not in cfg or (cfg[key] is None and default is None):
@@ -80,12 +89,12 @@ def _require(cfg, key, kind, path, default=_REQUIRED):
             raise ConfigError(full, "missing required key")
         return default
     value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+    if kind in (int, float):
+        return _number(value, kind, full)
+    if not isinstance(value, kind):
         names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise ConfigError(full, f"must be of type {names}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(full, f"must be finite, got {value}")
-    return float(value) if kind is float else value
+    return value
 
 
 def _check_keys(cfg, known, path):
@@ -117,21 +126,14 @@ def build_model(cfg):
         params[key] = value
     try:
         return cls(**params)
-    except (DomainError, TypeError) as exc:
-        key = getattr(exc, "key", None)
-        raise ConfigError(f"model.{key}" if key else "model", str(exc)) from exc
-
-
-def _numbers(values):
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+    except DomainError as exc:
+        raise ConfigError(f"model.{exc.key}" if exc.key else "model", str(exc)) from exc
 
 
 def build_axis(spec, path):
     """The axis values of a list or a {start, stop, step|num} range; ScanGrid checks them."""
     if isinstance(spec, list):
-        if not _numbers(spec):
-            raise ConfigError(path, "must be a list of numbers")
-        return np.asarray(spec, dtype=float)
+        return np.asarray([_number(v, float, path) for v in spec])
     if isinstance(spec, dict):
         _check_keys(spec, ("start", "stop", "step", "num"), path)
         if "step" in spec and "num" in spec:
@@ -193,13 +195,13 @@ def resolve_scan_config(cfg):
     classify = _require(cfg, "classify", dict, "", default=None)
     if classify is not None:
         _check_keys(classify, ("sizes", "lambdas"), "classify")
-        sizes = _require(classify, "sizes", list, "classify")
-        if not all(isinstance(n, int) and not isinstance(n, bool) for n in sizes):
-            raise ConfigError("classify.sizes", "must be a list of integers")
-        lambdas = _require(classify, "lambdas", list, "classify")
-        if not lambdas or not _numbers(lambdas):
+        sizes = [_number(n, int, "classify.sizes")
+                 for n in _require(classify, "sizes", list, "classify")]
+        lambdas = [_number(v, float, "classify.lambdas")
+                   for v in _require(classify, "lambdas", list, "classify")]
+        if not lambdas:
             raise ConfigError("classify.lambdas", "must be a non-empty list of numbers")
-        classify = dict(classify, lambdas=[float(v) for v in lambdas])
+        classify = dict(classify, sizes=sizes, lambdas=lambdas)
 
     try:
         grid = build_grid(cfg)
@@ -383,116 +385,10 @@ def _locate(mode, field, jump_threshold):
 # validate subcommand
 # ---------------------------------------------------------------------------
 
-def _check_fidelity_beta_matches_dense():
-    # unit-spectral-norm ensemble keeps all Gibbs populations well above
-    # the precision floor of the clamped-square-root pipeline
-    rng = np.random.default_rng(20240817)
-    worst = 0.0
-    for _ in range(20):
-        dim = int(rng.integers(2, 33))
-        a = rng.standard_normal((dim, dim))
-        h = 0.5 * (a + a.T)
-        h /= exact.spectral_norm(h)
-        beta0, beta1 = rng.uniform(0.2, 2.5, size=2)
-        model = exact.DenseModel(lambda lam: h, "random_dense")  # temperature-only checks
-        approx = core.fidelity_beta(model, beta0, beta1, 0.0)
-        reference = exact.uhlmann_fidelity(exact.gibbs_state(h, beta0),
-                                           exact.gibbs_state(h, beta1))
-        worst = max(worst, abs(approx - reference))
-    return worst < 1e-10, f"max |dense - log-space| = {worst:.3e} (tol 1e-10)"
-
-
-def _check_fidelity_cv_consistency():
-    worst = 0.0
-    tim = models.Tim1D()
-    for model, t, lam in ((models.TwoLevel(), 1.0, 0.0), (tim, 0.7, 1.0), (tim, 1.5, 0.5)):
-        for frac in (1e-3, 1e-2):
-            delta_t = frac * t
-            beta0 = 1.0 / t
-            beta1 = 1.0 / (t + delta_t)
-            full = core.fidelity_beta(model, beta0, beta1, lam)
-            cv = core.specific_heat(model, core.ThermoPoint(beta0, lam), delta_t)
-            dbeta = beta0 - beta1
-            approx = math.exp(-dbeta**2 * cv / (8.0 * beta0**2))
-            rel = abs(approx - full) / full / (5.0 * frac)
-            worst = max(worst, rel)
-    return worst < 1.0, f"max relative error / (5 dT/T) = {worst:.3e} (must be < 1)"
-
-
-def _check_chi_beta_vs_cv():
-    model = models.Tim1D()
-    worst = 0.0
-    for t in np.linspace(0.2, 2.0, 10):
-        delta_t = 1e-3 * t
-        point = core.ThermoPoint(1.0 / t, 1.0)
-        cv = core.specific_heat(model, point, delta_t)
-        chi_beta = core.fidelity_susceptibility_beta(model, point, delta_t)
-        worst = max(worst, abs(4.0 * point.beta**2 * chi_beta - cv) / cv)
-    return worst < 1e-2, f"max |4 b^2 chi_beta - Cv| / Cv = {worst:.3e} (tol 1e-2)"
-
-
-def _check_lambda_responses_vs_kubo_mori():
-    # chi and chi_lambda are the same second difference of lnZ, so neither
-    # can check the other; each is compared with the exact d2 lnZ/dlam2 of the
-    # dense chain, whose H is linear in lam with dH/dlam = H(1) - H(0)
-    model = exact.DenseModel(_chain_builder, "spin_chain")
-    v = _chain_builder(1.0) - _chain_builder(0.0)
-    worst = 0.0
-    for beta, lam in ((0.5, 0.5), (1.0, 1.2), (2.0, 0.3)):
-        metric = exact.kubo_mori_metric(_chain_builder(lam), v, beta)
-        chi = core.susceptibility_lambda(model, core.ThermoPoint(beta, lam), 1e-3)
-        chi_lam = core.fidelity_susceptibility_lambda(model, beta, lam, 1e-3)
-        for value in (4.0 * chi_lam, beta * chi):
-            worst = max(worst, abs(value - metric) / metric)
-    return worst < 1e-6, (f"max |4 chi_lambda - I_KM|, |b chi - I_KM| over I_KM "
-                          f"= {worst:.3e} (tol 1e-6)")
-
-
-def _check_field_fidelity_bound():
-    # at beta >= 1 the bound exceeds 1, which no fidelity error can reach
-    builder = _chain_builder
-    model = exact.DenseModel(builder, "spin_chain")
-    samples = []
-    ok = True
-    for beta in (0.125, 0.25, 0.5):
-        for dlam in (0.1, 0.05):
-            lam0, lam1 = 0.5, 0.5 + dlam
-            exact_f = exact.fidelity_lambda_exact(builder(lam0), builder(lam1), beta)
-            approx_f = core.fidelity_lambda_approx(model, beta, lam0, lam1)
-            bound = exact.trotter_bound(builder(lam0), builder(lam1), beta)
-            err = abs(exact_f - approx_f)
-            ok = ok and bound < 1.0 and err <= bound + 1e-12
-            samples.append(f"beta={beta} dlam={dlam}: |err|={err:.3e} bound={bound:.3e}")
-    return ok, "; ".join(samples)
-
-
-def _chain_builder(lam):
-    return exact.spin_chain_hamiltonian(3, 1.0, lam)
-
-
-def _check_ground_state_limit():
-    builder = _chain_builder
-    lam0, lam1 = 0.5, 0.6
-    overlap = abs(np.vdot(exact.ground_state(builder(lam0)),
-                          exact.ground_state(builder(lam1))))
-    cold = exact.fidelity_lambda_exact(builder(lam0), builder(lam1), 200.0)
-    diff = abs(cold - overlap)
-    return diff < 1e-6, f"|F(beta=200) - GS overlap| = {diff:.3e} (tol 1e-6)"
-
-
-VALIDATION_CHECKS = (
-    ("fidelity_beta_matches_dense", _check_fidelity_beta_matches_dense),
-    ("fidelity_cv_consistency", _check_fidelity_cv_consistency),
-    ("chi_beta_vs_cv", _check_chi_beta_vs_cv),
-    ("chi_lambda_vs_kubo_mori", _check_lambda_responses_vs_kubo_mori),
-    ("field_fidelity_bound", _check_field_fidelity_bound),
-    ("ground_state_limit", _check_ground_state_limit),
-)
-
-
 def cmd_validate():
+    from . import exact  # the dense references and their suite, which a scan never loads
     checks = []
-    for name, fn in VALIDATION_CHECKS:
+    for name, fn in exact.VALIDATION_CHECKS:
         try:
             passed, detail = fn()
         except ThermofidError as exc:

@@ -2,7 +2,9 @@
 
 Everything here works on explicit Hamiltonian matrices (dimension capped at
 256 to keep validation runs fast) and serves as the independent reference
-against which the log-partition-function kernel is checked.
+against which the log-partition-function kernel is checked. VALIDATION_CHECKS,
+at the end, is the `thermofid validate` suite; it calls the kernel as
+core.<function>. A scan never imports this module.
 """
 
 import math
@@ -11,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ThermoModel, check_positive
+from . import core, models
 from .errors import DomainError, EigensolverError, NegativeEigenvalue
 
 MAX_DIM = 256
@@ -58,7 +60,7 @@ def gibbs_state(h, beta):
     rounding in the final division.
     """
     h = _check_hamiltonian(h)
-    check_positive("beta", beta)
+    core.check_positive("beta", beta)
     w, v = _eigh(h, "gibbs_state")
     weights = np.exp(-beta * (w - w.min()))
     rho = (v * weights) @ v.conj().T
@@ -115,7 +117,7 @@ def trotter_bound(h0, h1, beta):
     """
     h0 = _check_hamiltonian(h0, "h0")
     h1 = _check_hamiltonian(h1, "h1")
-    check_positive("beta", beta)
+    core.check_positive("beta", beta)
     c = _commutator(h0, h1)
     d2 = (spectral_norm(_commutator(c, h1)) + 0.5 * spectral_norm(_commutator(c, h0))) / 12.0
     return beta**3 * d2 * math.exp(beta * (spectral_norm(h0) + spectral_norm(h1)))
@@ -129,7 +131,7 @@ def kubo_mori_metric(h, v, beta):
     """
     h = _check_hamiltonian(h, "h")
     v = _check_hamiltonian(v, "v")
-    check_positive("beta", beta)
+    core.check_positive("beta", beta)
     w, vecs = _eigh(h, "kubo_mori_metric")
     p = np.exp(-beta * (w - w.min()))
     p /= p.sum()
@@ -182,7 +184,7 @@ def spin_chain_hamiltonian(n_sites, coupling_j, lam):
 
 
 @dataclass(frozen=True)
-class DenseModel(ThermoModel):
+class DenseModel(core.ThermoModel):
     """ThermoModel over a dense Hamiltonian family lam -> H(lam).
 
     Gives the log-partition-function kernel and the dense pipeline a common
@@ -202,3 +204,110 @@ class DenseModel(ThermoModel):
         # lnZ = -beta w_min + ln sum exp(-beta (w - w_min)); eigvalsh sorts w ascending
         terms = np.exp(-np.multiply.outer(beta, w - w[0]))
         return np.log(terms.sum(axis=-1)) - np.multiply(beta, w[0])
+
+
+# ---------------------------------------------------------------------------
+# the validate suite: the log-space kernel against the dense references above
+# ---------------------------------------------------------------------------
+
+def _check_fidelity_beta_matches_dense():
+    # unit-spectral-norm ensemble keeps all Gibbs populations well above
+    # the precision floor of the clamped-square-root pipeline
+    rng = np.random.default_rng(20240817)
+    worst = 0.0
+    for _ in range(20):
+        dim = int(rng.integers(2, 33))
+        a = rng.standard_normal((dim, dim))
+        h = 0.5 * (a + a.T)
+        h /= spectral_norm(h)
+        beta0, beta1 = rng.uniform(0.2, 2.5, size=2)
+        model = DenseModel(lambda lam: h, "random_dense")  # temperature-only checks
+        approx = core.fidelity_beta(model, beta0, beta1, 0.0)
+        reference = uhlmann_fidelity(gibbs_state(h, beta0), gibbs_state(h, beta1))
+        worst = max(worst, abs(approx - reference))
+    return worst < 1e-10, f"max |dense - log-space| = {worst:.3e} (tol 1e-10)"
+
+
+def _check_fidelity_cv_consistency():
+    worst = 0.0
+    tim = models.Tim1D()
+    for model, t, lam in ((models.TwoLevel(), 1.0, 0.0), (tim, 0.7, 1.0), (tim, 1.5, 0.5)):
+        for frac in (1e-3, 1e-2):
+            delta_t = frac * t
+            beta0 = 1.0 / t
+            beta1 = 1.0 / (t + delta_t)
+            full = core.fidelity_beta(model, beta0, beta1, lam)
+            cv = core.specific_heat(model, core.ThermoPoint(beta0, lam), delta_t)
+            dbeta = beta0 - beta1
+            approx = math.exp(-dbeta**2 * cv / (8.0 * beta0**2))
+            rel = abs(approx - full) / full / (5.0 * frac)
+            worst = max(worst, rel)
+    return worst < 1.0, f"max relative error / (5 dT/T) = {worst:.3e} (must be < 1)"
+
+
+def _check_chi_beta_vs_cv():
+    model = models.Tim1D()
+    worst = 0.0
+    for t in np.linspace(0.2, 2.0, 10):
+        delta_t = 1e-3 * t
+        point = core.ThermoPoint(1.0 / t, 1.0)
+        cv = core.specific_heat(model, point, delta_t)
+        chi_beta = core.fidelity_susceptibility_beta(model, point, delta_t)
+        worst = max(worst, abs(4.0 * point.beta**2 * chi_beta - cv) / cv)
+    return worst < 1e-2, f"max |4 b^2 chi_beta - Cv| / Cv = {worst:.3e} (tol 1e-2)"
+
+
+def _check_lambda_responses_vs_kubo_mori():
+    # chi and chi_lambda are the same second difference of lnZ, so neither
+    # can check the other; each is compared with the exact d2 lnZ/dlam2 of the
+    # dense chain, whose H is linear in lam with dH/dlam = H(1) - H(0)
+    model = DenseModel(_chain_builder, "spin_chain")
+    v = _chain_builder(1.0) - _chain_builder(0.0)
+    worst = 0.0
+    for beta, lam in ((0.5, 0.5), (1.0, 1.2), (2.0, 0.3)):
+        metric = kubo_mori_metric(_chain_builder(lam), v, beta)
+        chi = core.susceptibility_lambda(model, core.ThermoPoint(beta, lam), 1e-3)
+        chi_lam = core.fidelity_susceptibility_lambda(model, beta, lam, 1e-3)
+        for value in (4.0 * chi_lam, beta * chi):
+            worst = max(worst, abs(value - metric) / metric)
+    return worst < 1e-6, (f"max |4 chi_lambda - I_KM|, |b chi - I_KM| over I_KM "
+                          f"= {worst:.3e} (tol 1e-6)")
+
+
+def _check_field_fidelity_bound():
+    # at beta >= 1 the bound exceeds 1, which no fidelity error can reach
+    model = DenseModel(_chain_builder, "spin_chain")
+    samples = []
+    ok = True
+    for beta in (0.125, 0.25, 0.5):
+        for dlam in (0.1, 0.05):
+            lam0, lam1 = 0.5, 0.5 + dlam
+            exact_f = fidelity_lambda_exact(_chain_builder(lam0), _chain_builder(lam1), beta)
+            approx_f = core.fidelity_lambda_approx(model, beta, lam0, lam1)
+            bound = trotter_bound(_chain_builder(lam0), _chain_builder(lam1), beta)
+            err = abs(exact_f - approx_f)
+            ok = ok and bound < 1.0 and err <= bound + 1e-12
+            samples.append(f"beta={beta} dlam={dlam}: |err|={err:.3e} bound={bound:.3e}")
+    return ok, "; ".join(samples)
+
+
+def _chain_builder(lam):
+    return spin_chain_hamiltonian(3, 1.0, lam)
+
+
+def _check_ground_state_limit():
+    lam0, lam1 = 0.5, 0.6
+    overlap = abs(np.vdot(ground_state(_chain_builder(lam0)), ground_state(_chain_builder(lam1))))
+    cold = fidelity_lambda_exact(_chain_builder(lam0), _chain_builder(lam1), 200.0)
+    diff = abs(cold - overlap)
+    return diff < 1e-6, f"|F(beta=200) - GS overlap| = {diff:.3e} (tol 1e-6)"
+
+
+VALIDATION_CHECKS = (
+    ("fidelity_beta_matches_dense", _check_fidelity_beta_matches_dense),
+    ("fidelity_cv_consistency", _check_fidelity_cv_consistency),
+    ("chi_beta_vs_cv", _check_chi_beta_vs_cv),
+    ("chi_lambda_vs_kubo_mori", _check_lambda_responses_vs_kubo_mori),
+    ("field_fidelity_bound", _check_field_fidelity_bound),
+    ("ground_state_limit", _check_ground_state_limit),
+)

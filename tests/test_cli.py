@@ -275,6 +275,15 @@ def test_meanfield_rejects_out_of_range(capsys):
     assert cli.main(["meanfield", "--lambda", "0.5,1.2"]) == 2
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["--lambda", "0.5", "--t-points", "1"], "--t-points"),
+    (["--lambda", "0.5,half"], "--lambda"),
+])
+def test_meanfield_rejects_bad_argument(capsys, argv, key):
+    assert cli.main(["meanfield", *argv]) == 2
+    assert f"{key}:" in capsys.readouterr().err
+
+
 def test_meanfield_output_file(tmp_path, capsys):
     out = tmp_path / "mf.csv"
     assert cli.main(["meanfield", "--lambda", "0.5", "--output", str(out)]) == 0
@@ -373,6 +382,8 @@ def test_build_axis_specs():
         cli.build_axis({"start": 0.0, "stop": 1.0, "stpe": 0.25}, "grid.t")
     with pytest.raises(ConfigError, match="not both"):
         cli.build_axis({"start": 0.0, "stop": 1.0, "step": 0.25, "num": 3}, "grid.t")
+    with pytest.raises(ConfigError, match="grid.t: must be a list or a range object"):
+        cli.build_axis("0.0..1.0", "grid.t")
 
 
 @pytest.mark.parametrize("change, key", [
@@ -412,6 +423,35 @@ def test_build_axis_specs():
       "grid": {"lambda": [0.0], "t": {"start": 0.0052, "stop": 0.0075, "num": 24}},
       "fields": ["Cv"], "classify": {"sizes": [1, 2, 4], "lambdas": [0.0]}}, "delta_t"),
     ({"classify": {"sizes": [10, 20, 40], "lambdas": [0.0]}}, "classify.sizes"),  # two_level
+    # an integer beyond float range is no finite number, wherever a number is read
+    ({"delta_t": 10**400}, "delta_t"),
+    ({"model": {"name": "tim1d", "n_sites": 10**400}}, "model.n_sites"),
+    ({"failure_budget": 10**400}, "failure_budget"),
+    ({"grid": {"lambda": [0.0], "t": [0.5, 10**400]}}, "grid.t"),
+    ({"grid": {"lambda": [0.0], "t": {"start": 0.5, "stop": 1.0, "num": 10**400}}},
+     "grid.t.num"),
+    ({"detect": {"jumps": "Cv", "jump_threshold": 10**400}}, "detect.jump_threshold"),
+    ({"model": {"name": "tim1d"}, "classify": {"sizes": [100, 200, 400], "lambdas": [10**400]}},
+     "classify.lambdas"),
+    ({"model": {"name": "tim1d"}, "classify": {"sizes": [100, 200, 10**400], "lambdas": [0.9]}},
+     "classify.sizes"),
+    # each remaining rejection of the configuration reader
+    ({"model": [{"name": "two_level"}]}, "model"),
+    ({"model": {"name": "potts"}}, "model.name"),
+    ({"model": {"name": "tim1d", "n_sites": 2.5}}, "model.n_sites"),
+    ({"grid": {"lambda": [0.0], "t": "0.5..1.0"}}, "grid.t"),
+    ({"grid": {"lambda": [0.0], "t": [0.5, "1.0"]}}, "grid.t"),
+    ({"grid": {"lambda": [0.0], "t": {"start": 1.0, "stop": 0.5, "num": 3}}}, "grid.t.stop"),
+    ({"grid": {"lambda": [0.0], "t": {"start": 0.5, "stop": 1.0, "step": 0}}}, "grid.t.step"),
+    ({"grid": {"lambda": [0.0], "t": {"start": 0.5, "stop": 1.0, "num": 0}}}, "grid.t.num"),
+    ({"detect": {"minima": "chi_beta"}}, "detect.minima"),
+    ({"model": {"name": "tim1d"}, "classify": {"sizes": [100, 200.5, 400], "lambdas": [0.9]}},
+     "classify.sizes"),
+    ({"model": {"name": "tim1d"}, "classify": {"sizes": [100, 200, 400], "lambdas": []}},
+     "classify.lambdas"),
+    ({"failure_budget": 1.5}, "failure_budget"),
+    ({"threads": 0}, "threads"),
+    ({"output_dir": ""}, "output_dir"),
 ])
 def test_scan_rejects_bad_value_before_output(tmp_path, capsys, change, key):
     cfg = dict(minimal_config(tmp_path), **change)
@@ -420,33 +460,56 @@ def test_scan_rejects_bad_value_before_output(tmp_path, capsys, change, key):
     assert not (tmp_path / "out").exists()
 
 
-def test_boundary_rejects_unknown_key(tmp_path, capsys):
-    t_axis = np.linspace(1.0, 2.0, 11)
-    grid = scan.ScanGrid(np.array([0.0]), t_axis, delta_t=0.01)
-    cli.write_field_csv(str(tmp_path / "field.csv"),
-                        scan.ScanField("x", grid, t_axis[np.newaxis, :] ** 2))
-    boundary_cfg = {
-        "field_file": str(tmp_path / "field.csv"),
-        "mode": "jumps",
-        "jump_treshold": 5.0,
-        "output": str(tmp_path / "jumps.csv"),
-    }
-    assert cli.main(["boundary", write_config(tmp_path, boundary_cfg, "b.json")]) == 2
-    assert "jump_treshold:" in capsys.readouterr().err
-    assert not (tmp_path / "jumps.csv").exists()
+@pytest.mark.parametrize("drop", ["delta_t", "grid"])
+def test_scan_rejects_missing_key_before_output(tmp_path, capsys, drop):
+    cfg = minimal_config(tmp_path)
+    del cfg[drop]
+    assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 2
+    assert f"{drop}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
-def test_boundary_rejects_non_positive_threshold(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["scan", "boundary"])
+def test_config_top_level_must_be_an_object(tmp_path, capsys, command):
+    assert cli.main([command, write_config(tmp_path, [minimal_config(tmp_path)])]) == 2
+    assert "config: top level must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_unreadable_config_is_named(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    assert cli.main(["scan", path]) == 2
+    assert f"{path}: cannot read config" in capsys.readouterr().err
+
+
+def test_scan_over_long_integer_literal_is_invalid_json(tmp_path, capsys):
+    # beyond the interpreter's int-to-string digit limit, json.loads raises a
+    # plain ValueError, the base of JSONDecodeError
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"delta_t": 1{"0" * 5000}}}')
+    assert cli.main(["scan", str(path)]) == 2
+    assert f"{path}: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"jump_treshold": 5.0}, "jump_treshold"),
+    ({"jump_threshold": 0.0}, "jump_threshold"),
+    ({"jump_threshold": 10**400}, "jump_threshold"),
+    ({"mode": "peaks"}, "mode"),
+    ({"output": ""}, "output"),
+    ({"field_file": "missing.csv"}, "missing.csv"),
+    ({"field_file": "two_columns.csv"}, "two_columns.csv"),
+    ({"field_file": "incomplete_grid.csv"}, "incomplete_grid.csv"),
+])
+def test_boundary_rejects_bad_value_before_output(tmp_path, capsys, monkeypatch, change, key):
+    monkeypatch.chdir(tmp_path)
     t_axis = np.linspace(1.0, 2.0, 11)
     grid = scan.ScanGrid(np.array([0.0]), t_axis, delta_t=0.01)
-    cli.write_field_csv(str(tmp_path / "field.csv"),
-                        scan.ScanField("x", grid, t_axis[np.newaxis, :] ** 2))
-    boundary_cfg = {
-        "field_file": str(tmp_path / "field.csv"),
-        "mode": "jumps",
-        "jump_threshold": 0.0,
-        "output": str(tmp_path / "jumps.csv"),
-    }
+    cli.write_field_csv("field.csv", scan.ScanField("x", grid, t_axis[np.newaxis, :] ** 2))
+    (tmp_path / "two_columns.csv").write_text("lambda,T,value\n0,1\n0,2\n")
+    (tmp_path / "incomplete_grid.csv").write_text("lambda,T,value\n0,1,5\n0,2,6\n1,1,7\n")
+    boundary_cfg = dict({"field_file": "field.csv", "mode": "jumps", "output": "jumps.csv"},
+                        **change)
     assert cli.main(["boundary", write_config(tmp_path, boundary_cfg, "b.json")]) == 2
-    assert "jump_threshold:" in capsys.readouterr().err
+    assert f"{key}:" in capsys.readouterr().err
     assert not (tmp_path / "jumps.csv").exists()

@@ -151,6 +151,29 @@ def test_one_column_scan_starts_no_pool(tmp_path):
     assert scan_imports(tmp_path, "ising_ridge", threads=2) == []
 
 
+def test_scans_never_load_the_dense_oracle(tmp_path):
+    # exact holds the dense references and validate's suite; cli imports it
+    # inside cmd_validate, so no scan compiles it
+    scans, validate = fresh(tmp_path, (
+        "import json, sys\n"
+        "import workloads\n"
+        "from thermofid import cli\n"
+        "scans = []\n"
+        f"for workload in {BENCHMARK_WORKLOADS!r}:\n"
+        "    for threads in (1, 2):\n"
+        "        for op, config in workloads.build(workload, 0, tiny=True):\n"
+        "            path = f'{workload}-{op}-{threads}.json'\n"
+        "            with open(path, 'w') as fh:\n"
+        "                json.dump(dict(config, output_dir=path[:-5], threads=threads), fh)\n"
+        "            cli.resolve_scan_config(cli.load_config(path))\n"
+        "            cli.cmd_scan(path)\n"
+        "            scans.append('thermofid.exact' in sys.modules)\n"
+        "cli.cmd_validate()\n"
+        "print(json.dumps([scans, 'thermofid.exact' in sys.modules]))"))
+    assert len(scans) >= 2 * len(BENCHMARK_WORKLOADS) and not any(scans)
+    assert validate  # the positive control
+
+
 def process_modules_after_scans(tmp_path, configs, prelude=""):
     """multiprocessing and concurrent modules loaded once cli.cmd_scan ran each config."""
     return fresh(tmp_path, (
