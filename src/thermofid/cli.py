@@ -6,8 +6,9 @@ Subcommands:
   meanfield --lambda  critical temperatures and order-parameter curves
   boundary <config>   minima/jump extraction on a precomputed field file
 
-Exit codes: 0 success, 2 configuration error, 3 evaluation failure beyond the
-cell budget, 4 validation failure. The environment variable
+Exit codes: 0 success, 2 configuration error, 3 evaluation failure (failed
+cells beyond the budget, a helper process that died, or a failed
+classification), 4 validation failure. The environment variable
 THERMOFID_OUTPUT_DIR overrides any configured output directory.
 """
 
@@ -92,8 +93,7 @@ def _require(cfg, key, kind, path, default=_REQUIRED):
     if kind in (int, float):
         return _number(value, kind, full)
     if not isinstance(value, kind):
-        names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(full, f"must be of type {names}")
+        raise ConfigError(full, f"must be of type {kind.__name__}")
     return value
 
 
@@ -164,8 +164,8 @@ def build_grid(cfg):
         raise ConfigError("grid", "missing or not an object")
     grid_cfg = cfg["grid"]
     _check_keys(grid_cfg, ("lambda", "t"), "grid")
-    lam_axis = build_axis(_require(grid_cfg, "lambda", (list, dict), "grid"), "grid.lambda")
-    t_axis = build_axis(_require(grid_cfg, "t", (list, dict), "grid"), "grid.t")
+    lam_axis, t_axis = (build_axis(_require(grid_cfg, key, object, "grid"), f"grid.{key}")
+                        for key in ("lambda", "t"))
     delta_t = _require(cfg, "delta_t", float, "")
     delta_lambda = _require(cfg, "delta_lambda", float, "", default=None)
     return scan.ScanGrid(lam_axis, t_axis, delta_t, delta_lambda)
@@ -268,11 +268,14 @@ def write_field_csv(path, field):
         fh.write("lambda,T,value\n" + "".join(rows))
 
 
-def write_line_csv(path, line):
+def write_line_csv(path, line, verdicts=()):
+    """A line's rows; a jump row at a lambda of the (lambda, verdict) pairs carries its verdict."""
+    by_lambda = dict(verdicts) if line.detection == "jump" else {}
     with open(path, "w") as fh:
         fh.write("lambda,T_c,detection,classification\n")
         for lam, tc in line.points:
-            fh.write(f"{_fmt(lam)},{_fmt(tc)},{line.detection},{scan.UNDETERMINED}\n")
+            verdict = by_lambda.get(lam, scan.UNDETERMINED)
+            fh.write(f"{_fmt(lam)},{_fmt(tc)},{line.detection},{verdict}\n")
 
 
 def read_field_csv(path):
@@ -304,6 +307,11 @@ def read_field_csv(path):
 # ---------------------------------------------------------------------------
 
 def cmd_scan(config_path, threads=None):
+    """Compute the fields, lines and verdicts, then write each field CSV, line CSV and report.
+
+    A failure in the compute step leaves no file. The failure budget is checked
+    after the write step, so a run over it still writes every file.
+    """
     resolved, model, grid = resolve_scan_config(load_config(config_path))
     if threads is None:
         # the CPUs this process may run on, where the platform says, not the host's
@@ -319,33 +327,21 @@ def cmd_scan(config_path, threads=None):
 
     started = time.perf_counter()
     fields = scan.sweep(model, grid, resolved["fields"], threads=threads)
-
-    outputs = {"fields": {}}
-    for field in fields:
-        path = os.path.join(out_dir, f"{field.name}.csv")
-        write_field_csv(path, field)
-        outputs["fields"][field.name] = path
-
     by_name = {f.name: f for f in fields}
-    lines = []
     detect = resolved["detect"]
-    for mode in ("minima", "jumps"):
-        if detect.get(mode):
-            line = _locate(mode, by_name[detect[mode]], detect["jump_threshold"])
-            path = os.path.join(out_dir, f"{mode}.csv")
-            write_line_csv(path, line)
-            outputs[mode] = path
-            lines.append({"detection": line.detection, "field": detect[mode],
-                          "points": [[lam, tc] for lam, tc in line.points]})
-
-    classifications = []
+    lines = {mode: _locate(mode, by_name[detect[mode]], detect["jump_threshold"])
+             for mode in ("minima", "jumps") if detect.get(mode)}
     classify_cfg = resolved.get("classify")
-    if classify_cfg:
-        for lam in classify_cfg["lambdas"]:
-            verdict = scan.classify_transition(model, lam, classify_cfg["sizes"],
-                                               grid.t_axis, grid.delta_t)
-            classifications.append({"lambda": lam, "sizes": classify_cfg["sizes"],
-                                    "classification": verdict})
+    verdicts = [(lam, scan.classify_transition(model, lam, classify_cfg["sizes"],
+                                               grid.t_axis, grid.delta_t))
+                for lam in classify_cfg["lambdas"]] if classify_cfg else []
+
+    outputs = {"fields": {f.name: os.path.join(out_dir, f"{f.name}.csv") for f in fields}}
+    for field in fields:
+        write_field_csv(outputs["fields"][field.name], field)
+    for mode, line in lines.items():
+        outputs[mode] = os.path.join(out_dir, f"{mode}.csv")
+        write_line_csv(outputs[mode], line, verdicts)
 
     elapsed = time.perf_counter() - started
     entries = int(grid.shape[0] * grid.shape[1] * len(fields))
@@ -354,8 +350,11 @@ def cmd_scan(config_path, threads=None):
     report = {
         "config": resolved,
         "outputs": outputs,
-        "critical_lines": lines,
-        "classifications": classifications,
+        "critical_lines": [{"detection": line.detection, "field": detect[mode],
+                            "points": [[lam, tc] for lam, tc in line.points]}
+                           for mode, line in lines.items()],
+        "classifications": [{"lambda": lam, "sizes": classify_cfg["sizes"],
+                             "classification": verdict} for lam, verdict in verdicts],
         "timing_s": elapsed,
         "cells": entries,
         "cell_failures": failures,

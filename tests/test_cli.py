@@ -117,6 +117,24 @@ def test_scan_failure_budget_exit_3(tmp_path, capsys):
     code = cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"])
     assert code == 3
     assert "budget" in capsys.readouterr().err
+    # the budget is checked after the write step, which writes every file
+    assert (tmp_path / "out" / "Cv.csv").exists() and (tmp_path / "out" / "report.json").exists()
+
+
+def test_scan_classifier_failure_leaves_no_file(tmp_path, capsys):
+    # every Cv cell of a size fails at lam = 1e200, so classification raises
+    cfg = {
+        "model": {"name": "dicke", "n_atoms": 50},
+        "grid": {"lambda": [1e200], "t": [1.0, 1.1, 1.2]},
+        "delta_t": 0.01,
+        "fields": ["Cv"],
+        "detect": {"jumps": "Cv"},
+        "classify": {"sizes": [50, 100, 200], "lambdas": [1e200]},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 3
+    assert "specific-heat column evaluation failed for a size" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.usefixtures("helper_deadline")
@@ -201,6 +219,23 @@ def test_scan_classification_in_report(tmp_path, capsys):
     assert report["classifications"] == [
         {"lambda": 0.9, "sizes": [100, 200, 400], "classification": "Crossover"}
     ]
+
+
+def test_scan_jump_row_at_a_classified_lambda_carries_its_verdict(tmp_path, capsys):
+    cfg = {
+        "model": {"name": "ising2d"},
+        "grid": {"lambda": [0.0], "t": {"start": 1.5, "stop": 3.5, "step": 0.005}},
+        "delta_t": 0.01,
+        "fields": ["F_beta", "Cv"],
+        "detect": {"minima": "F_beta", "jumps": "Cv"},
+        "classify": {"sizes": [1, 2, 4], "lambdas": [0.0]},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 0
+    jumps = (tmp_path / "out" / "jumps.csv").read_text().splitlines()
+    minima = (tmp_path / "out" / "minima.csv").read_text().splitlines()
+    assert len(jumps) == 2 and jumps[1].endswith(",jump,TypeA")
+    assert len(minima) == 2 and minima[1].endswith(",minimum,Undetermined")
 
 
 def test_scan_classifies_a_below_resolution_column(tmp_path, capsys):
@@ -457,6 +492,14 @@ def test_scan_rejects_bad_value_before_output(tmp_path, capsys, change, key):
     cfg = dict(minimal_config(tmp_path), **change)
     assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 2
     assert f"{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_axis_of_the_wrong_type_is_named(tmp_path, capsys):
+    cfg = minimal_config(tmp_path)
+    cfg["grid"]["lambda"] = 3
+    assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 2
+    assert "grid.lambda: must be a list or a range object" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
