@@ -14,7 +14,6 @@ THERMOFID_OUTPUT_DIR overrides any configured output directory.
 
 import argparse
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -32,14 +31,8 @@ EXIT_CONFIG = 2
 EXIT_EVALUATION = 3
 EXIT_VALIDATION = 4
 
-MODEL_CLASSES = {
-    "ising2d": models.Ising2D,
-    "tim1d": models.Tim1D,
-    "dicke": models.Dicke,
-    "lmg": lmg.Lmg,
-    "two_level": models.TwoLevel,
-    "two_level_field": models.TwoLevelField,
-}
+MODEL_CLASSES = {cls.name: cls for cls in (models.Ising2D, models.Tim1D, models.Dicke, lmg.Lmg,
+                                            models.TwoLevel, models.TwoLevelField)}
 
 _MEANFIELD_T_RANGE = (0.05, 1.05)
 
@@ -252,18 +245,11 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-@functools.lru_cache(maxsize=8)
-def _labels(axis_bytes):
-    """_fmt of each value of the float64 axis with these bytes, once for all of a scan's fields."""
-    return [_fmt(x) for x in np.frombuffer(axis_bytes).tolist()]
-
-
 def write_field_csv(path, field):
-    grid = field.grid
-    t_cols = _labels(grid.t_axis.tobytes())
-    rows = [f"{lam},{t},{value:.17g}\n"
-            for lam, values in zip(_labels(grid.lambda_axis.tobytes()), field.values.tolist())
-            for t, value in zip(t_cols, values)]
+    lams, ts = ([_fmt(x) for x in axis.tolist()]
+                for axis in (field.grid.lambda_axis, field.grid.t_axis))
+    rows = [f"{lam},{t},{value:.17g}\n" for lam, values in zip(lams, field.values.tolist())
+            for t, value in zip(ts, values)]
     with open(path, "w") as fh:
         fh.write("lambda,T,value\n" + "".join(rows))
 
@@ -292,12 +278,13 @@ def read_field_csv(path):
         raise ConfigError(path, f"malformed field file: {exc}") from exc
     if data.shape[1] != 3:
         raise ConfigError(path, f"expected 3 columns, got {data.shape[1]}")
-    lam_axis = np.unique(data[:, 0])
-    t_axis = np.unique(data[:, 1])
-    if lam_axis.size * t_axis.size != data.shape[0]:
+    lam_axis, lam_index = np.unique(data[:, 0], return_inverse=True)
+    t_axis, t_index = np.unique(data[:, 1], return_inverse=True)
+    cells = lam_index * t_axis.size + t_index  # each row's place in the lambda-outer grid
+    if np.any(np.bincount(cells, minlength=lam_axis.size * t_axis.size) != 1):
         raise ConfigError(path, "rows do not form a complete lambda x T grid")
-    order = np.lexsort((data[:, 1], data[:, 0]))
-    values = data[order, 2].reshape(lam_axis.size, t_axis.size)
+    values = np.empty((lam_axis.size, t_axis.size))
+    values[lam_index, t_index] = data[:, 2]
     grid = scan.ScanGrid(lam_axis, t_axis, delta_t=None)
     return scan.ScanField("loaded", grid, values)
 
@@ -318,6 +305,8 @@ def cmd_scan(config_path, threads=None):
         affinity = getattr(os, "sched_getaffinity", None)
         available = len(affinity(0)) if affinity else os.cpu_count() or 1
         threads = resolved.get("threads") or available
+    elif threads < 1:  # the flag obeys the threads key's rule
+        raise ConfigError("--threads", "must be a positive integer")
 
     core.warn_if_large_steps(float(grid.t_axis[0]), float(np.abs(grid.lambda_axis).min()),
                              grid.delta_t, grid.delta_lambda)

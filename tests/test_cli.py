@@ -7,8 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from thermofid import cli, core, models, scan
-from thermofid.errors import ConfigError
+from thermofid import cli, core, exact, models, scan
+from thermofid.errors import ConfigError, StepTooSmall
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -252,10 +252,11 @@ def test_scan_classifies_a_below_resolution_column(tmp_path, capsys):
     ]
 
 
-def test_validate_all_checks_pass():
-    report = cli.cmd_validate()
+def test_validate_all_checks_pass(capsys):
+    code = cli.main(["validate"])
+    report = json.loads(capsys.readouterr().out)
     failed = [c for c in report["checks"] if not c["passed"]]
-    assert report["all_passed"], failed
+    assert report["all_passed"] and code == 0, failed
     names = {c["name"] for c in report["checks"]}
     assert "chi_beta_vs_cv" in names
     assert "field_fidelity_bound" in names
@@ -274,6 +275,22 @@ def test_validate_detects_injected_sign_error(monkeypatch, capsys):
     by_name = {c["name"]: c["passed"] for c in report["checks"]}
     assert by_name["chi_beta_vs_cv"] is False
     assert cli.main(["validate"]) == 4
+
+
+def test_validate_reports_a_check_that_raises(monkeypatch, capsys):
+    # a typed error inside a check fails that check alone, with its type and message
+    def raising():
+        raise StepTooSmall("step below the noise floor")
+
+    monkeypatch.setattr(exact, "VALIDATION_CHECKS",
+                        tuple((name, raising if name == "chi_beta_vs_cv" else fn)
+                              for name, fn in exact.VALIDATION_CHECKS))
+    assert cli.main(["validate"]) == 4
+    out, err = capsys.readouterr()
+    failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == [{"name": "chi_beta_vs_cv", "passed": False,
+                       "detail": "raised StepTooSmall: step below the noise floor"}]
+    assert "validation failed: chi_beta_vs_cv" in err
 
 
 def test_validate_detects_shifted_lambda_stencil(monkeypatch):
@@ -369,6 +386,22 @@ def test_boundary_jumps_mode(tmp_path, capsys):
     rows = (tmp_path / "jumps.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 1
     assert float(rows[0].split(",")[1]) == pytest.approx(1.55, abs=1e-12)
+
+
+def test_boundary_output_dir_env_override(tmp_path, monkeypatch, capsys):
+    # the override directory takes the configured output's file name
+    override = tmp_path / "elsewhere"
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(override))
+    t_axis = np.linspace(1.0, 2.0, 11)
+    grid = scan.ScanGrid(np.array([0.0]), t_axis, delta_t=0.01)
+    values = t_axis[np.newaxis, :] ** 2
+    cli.write_field_csv(str(tmp_path / "field.csv"), scan.ScanField("x", grid, values))
+    boundary_cfg = {"field_file": str(tmp_path / "field.csv"), "mode": "minima",
+                    "output": str(tmp_path / "sub" / "line.csv")}
+    assert cli.main(["boundary", write_config(tmp_path, boundary_cfg, "b.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["output"] == str(override / "line.csv")
+    assert (override / "line.csv").read_text().startswith("lambda,T_c,detection,")
+    assert not (tmp_path / "sub").exists()
 
 
 def test_boundary_rejects_malformed_field(tmp_path, capsys):
@@ -487,11 +520,24 @@ def test_build_axis_specs():
     ({"failure_budget": 1.5}, "failure_budget"),
     ({"threads": 0}, "threads"),
     ({"output_dir": ""}, "output_dir"),
+    ({"fields": "Cv"}, "fields"),
+    ({"detect": ["Cv"]}, "detect"),
+    ({"output_dir": 3}, "output_dir"),
+    ({"model": {"name": 3}}, "model.name"),
 ])
 def test_scan_rejects_bad_value_before_output(tmp_path, capsys, change, key):
     cfg = dict(minimal_config(tmp_path), **change)
     assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 2
     assert f"{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_scan_rejects_bad_threads_flag_before_output(tmp_path, capsys, threads):
+    # the flag obeys the rule of the threads key it overrides
+    assert cli.main(["scan", write_config(tmp_path, minimal_config(tmp_path)),
+                     "--threads", threads]) == 2
+    assert "--threads: must be a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -543,6 +589,9 @@ def test_scan_over_long_integer_literal_is_invalid_json(tmp_path, capsys):
     ({"field_file": "missing.csv"}, "missing.csv"),
     ({"field_file": "two_columns.csv"}, "two_columns.csv"),
     ({"field_file": "incomplete_grid.csv"}, "incomplete_grid.csv"),
+    ({"mode": 3}, "mode"),
+    # the right row count, but one cell twice and another missing
+    ({"field_file": "duplicated_row.csv"}, "duplicated_row.csv"),
 ])
 def test_boundary_rejects_bad_value_before_output(tmp_path, capsys, monkeypatch, change, key):
     monkeypatch.chdir(tmp_path)
@@ -551,6 +600,7 @@ def test_boundary_rejects_bad_value_before_output(tmp_path, capsys, monkeypatch,
     cli.write_field_csv("field.csv", scan.ScanField("x", grid, t_axis[np.newaxis, :] ** 2))
     (tmp_path / "two_columns.csv").write_text("lambda,T,value\n0,1\n0,2\n")
     (tmp_path / "incomplete_grid.csv").write_text("lambda,T,value\n0,1,5\n0,2,6\n1,1,7\n")
+    (tmp_path / "duplicated_row.csv").write_text("lambda,T,value\n0,1,10\n0,1,11\n1,1,12\n1,2,13\n")
     boundary_cfg = dict({"field_file": "field.csv", "mode": "jumps", "output": "jumps.csv"},
                         **change)
     assert cli.main(["boundary", write_config(tmp_path, boundary_cfg, "b.json")]) == 2

@@ -81,6 +81,12 @@ def test_free_energy_propagates_nonfinite():
     assert values.shape == (2,) and np.isnan(values).all()
 
 
+def test_as_axis_rejects_a_2d_array():
+    with pytest.raises(DomainError, match="1-D") as info:
+        core.as_axis(np.ones((2, 3)), "t_axis")
+    assert info.value.key == "t_axis"
+
+
 @pytest.mark.parametrize("values", [[0.0, 1.0, 2.0, math.inf], [-math.inf, 0.0, 1.0],
                                     [0.0, math.nan, 2.0]])
 def test_check_uniform_rejects_non_finite_entries(values):

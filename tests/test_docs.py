@@ -1,5 +1,6 @@
-"""The README's library quick start runs as written, and its classifier note states the
-classifier's thresholds as the code sets them."""
+"""The README's library quick start runs as written, its model catalog names the
+configuration's models, and its classifier note states the classifier's thresholds as
+the code sets them."""
 
 import ast
 import contextlib
@@ -37,6 +38,12 @@ def test_readme_quick_start_runs_against_package_namespace():
     printed = out.getvalue().splitlines()[-1]
     head, tail = source.strip().splitlines()[-1].split("# ", 1)[1].split("...")
     assert printed.startswith(head) and printed.endswith(tail), printed
+
+
+def test_readme_model_table_lists_the_config_names_in_order():
+    table = README.read_text().split("## Model catalog\n\n", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"^\| `(\w+)` ", table, re.M)
+    assert names == list(cli.MODEL_CLASSES)
 
 
 def test_readme_classifier_thresholds_match_the_code():

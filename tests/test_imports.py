@@ -144,10 +144,10 @@ def test_serial_benchmark_scan_imports_nothing(tmp_path, workload):
     assert scan_imports(tmp_path, workload, threads=1) == []
 
 
-def test_one_column_scan_starts_no_pool(tmp_path):
+def test_one_column_scan_starts_no_helper(tmp_path):
     # ising2d's lambda domain is one point, so its scan is one column and
-    # runs in-process at the workload's threads: 2; a pool would import its
-    # multiprocessing start-up modules here
+    # runs in-process at the workload's threads: 2; a forked helper would
+    # import multiprocessing and its start-up modules here
     assert scan_imports(tmp_path, "ising_ridge", threads=2) == []
 
 

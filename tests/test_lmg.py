@@ -400,6 +400,9 @@ def test_meanfield_order_parameter_monotone_and_continuous():
 def test_meanfield_solve_domain():
     with pytest.raises(DomainError):
         lmg_meanfield_m_x(-1.0, 0.3)
+    for lam in (-0.1, math.nan):
+        with pytest.raises(DomainError, match="lam must be >= 0 and finite"):
+            lmg_meanfield_m_x(2.0, lam)
 
 
 def test_critical_temperature_endpoints_and_value():

@@ -376,7 +376,7 @@ def test_sweep_records_failures_as_nan():
 
 
 def test_sweep_parallel_bitwise_identical():
-    # more columns than workers, one column, and more workers than columns;
+    # more columns than threads, one column, and more threads than columns;
     # Ising2D is defined at lam = 0 only, so it takes the one-column case.
     # A one-column sweep runs in-process whatever threads says, so those
     # cases check the in-process path; the multi-column ones fork helpers
@@ -392,8 +392,8 @@ def test_sweep_parallel_bitwise_identical():
                 assert np.array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize("columns, threads, workers", [(1, 2, None), (2, 3, 2), (3, 2, 2)])
-def test_sweep_starts_at_most_one_worker_per_column(monkeypatch, columns, threads, workers):
+@pytest.mark.parametrize("columns, threads, helpers", [(1, 2, None), (2, 3, 2), (3, 2, 2)])
+def test_sweep_starts_at_most_one_helper_per_column(monkeypatch, columns, threads, helpers):
     # a helper without a column to take costs a fork and does nothing; the
     # helpers' lam shares cover the axis in order
     started = []
@@ -407,7 +407,7 @@ def test_sweep_starts_at_most_one_worker_per_column(monkeypatch, columns, thread
     grid = ScanGrid(np.linspace(0.2, 0.8, columns), np.linspace(0.8, 1.6, 3), delta_t=0.01)
     field = sweep(TwoLevelField(), grid, ["Cv"], threads=threads)[0]
     assert np.isfinite(field.values).all()
-    assert len(started) == (workers or 0)
+    assert len(started) == (helpers or 0)
     if started:
         assert np.array_equal(np.concatenate(started), grid.lambda_axis)
 
