@@ -12,9 +12,11 @@ self-consistent magnetization) is solved on the gamma < 1 branch, where the
 transverse magnetization m_y vanishes and the order parameter is m_x.
 """
 
+import ctypes
 import math
+import pathlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import ClassVar
 
 import numpy as np
@@ -24,17 +26,69 @@ from .errors import DomainError, EigensolverError
 
 _BRACKET_LO = 1e-9
 _BRACKET_HI = 1.0 - 1e-9
+# numpy's Linux wheels keep here the scipy-openblas LAPACK that numpy loads
+_NUMPY_LIBS = pathlib.Path(np.__file__).parents[1] / "numpy.libs"
+_STEVD = "scipy_LAPACKE_dstevd64_"
+
+
+def _lapack_levels(stevd, d, e):
+    """Eigenvalues by LAPACKE dstevd without vectors, as scipy's eigh_tridiagonal by default.
+
+    dstevd scales a norm beyond about 1e77 into range, then runs dsterf.
+    """
+    d, e = np.array(d, dtype=float), np.array(e, dtype=float)  # copies: LAPACK overwrites both
+    if d.ndim != 1 or e.shape != (d.size - 1,):  # LAPACK reads n and n - 1 entries
+        raise ValueError(f"a diagonal of shape {d.shape} takes n - 1 off-diagonal entries, "
+                         f"got shape {e.shape}")
+    info = stevd(102, b"N", d.size, d.ctypes.data, e.ctypes.data, None, 1)  # 102: column-major
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACKE_dstevd returned info = {info}")
+    return d
+
+
+def _numpy_lapack():
+    """_lapack_levels on the LAPACK numpy has loaded, or None where numpy's build names none.
+
+    It must be scipy-openblas with 64-bit integers, one library in numpy.libs,
+    that exports LAPACKE's dstevd.
+    """
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode; a build may not record it
+        return None
+    libs = list(_NUMPY_LIBS.glob("libscipy_openblas64_-*.so"))
+    if (lapack.get("name") != "scipy-openblas" or len(libs) != 1
+            or "USE64BITINT" not in lapack.get("openblas configuration", "")):
+        return None
+    stevd = getattr(ctypes.CDLL(str(libs[0])), _STEVD, None)
+    if stevd is None:
+        return None
+    stevd.restype = ctypes.c_int64
+    stevd.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_int64, *[ctypes.c_void_p] * 3,
+                      ctypes.c_int64)
+    return partial(_lapack_levels, stevd)
 
 
 def _load_scipy():
-    """scipy's eigh_tridiagonal, the package's one scipy import."""
-    from scipy.linalg import eigh_tridiagonal
-    return eigh_tridiagonal
+    """scipy's eigh_tridiagonal, the package's one scipy import, where numpy's LAPACK is not."""
+    try:
+        from scipy.linalg import eigh_tridiagonal
+    except ImportError as exc:
+        raise EigensolverError(
+            "LMG levels need numpy's bundled scipy-openblas LAPACK or, without it, scipy "
+            "(pip install thermofid[scipy])") from exc
+    return partial(eigh_tridiagonal, eigvals_only=True)
+
+
+@lru_cache(maxsize=1)
+def _solver():
+    """The solver of every LMG block, chosen once from what the platform has, never from a flag."""
+    return _numpy_lapack() or _load_scipy()
 
 
 def eigh_tridiagonal(d, e):
     """Eigenvalues of the symmetric tridiagonal matrix with diagonal d and off-diagonal e."""
-    return _load_scipy()(d, e, eigvals_only=True)
+    return _solver()(d, e)
 
 
 def logsumexp(x):
@@ -70,10 +124,13 @@ def _sector_bands(sector_spin, n_spins, gamma, lam):
 
 def _band_eigenvalues(diag, off):
     """All eigenvalues of a step-2-banded symmetric matrix via its parity blocks."""
+    # 2 lam m overflows for a lam near the float range; neither solver types that failure
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise EigensolverError("tridiagonal eigensolve: the Hamiltonian's bands are not finite")
     blocks = []
     for start in (0, 1):
         d = diag[start::2]
-        if d.size == 0:  # scipy rejects an empty block
+        if d.size == 0:  # the S = 0 sector's odd block; the scipy fallback rejects it
             continue
         e = off[start::2][: d.size - 1]
         try:
@@ -145,7 +202,7 @@ class Lmg(ThermoModel):
             raise DomainError(f"n_spins must be >= 2, got {self.n_spins}", key="n_spins")
         if not 0.0 <= self.gamma <= 1.0:
             raise DomainError(f"gamma must be in [0, 1], got {self.gamma}", key="gamma")
-        _load_scipy()  # here, so a scan imports it while configured, before its helpers fork
+        _solver()  # here, so a scan loads it while configured, before its helpers fork
 
     def _log_z(self, beta, lam):
         """Full 2^N-trace lnZ: degeneracy-weighted sum over all spin sectors.

@@ -3,11 +3,12 @@
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from thermofid import cli, core, exact, models, scan
+from thermofid import cli, core, exact, lmg, models, scan
 from thermofid.errors import ConfigError, StepTooSmall
 
 
@@ -119,6 +120,33 @@ def test_scan_failure_budget_exit_3(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
     # the budget is checked after the write step, which writes every file
     assert (tmp_path / "out" / "Cv.csv").exists() and (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_scan_overflowing_lmg_hamiltonian_exit_3(tmp_path, capsys):
+    # 2 lam m overflows at lam = 1e308: that column's cells fail as evaluations
+    cfg = {
+        "model": {"name": "lmg", "n_spins": 4},
+        "grid": {"lambda": [0.5, 1e308], "t": [0.5, 1.0]},
+        "delta_t": 0.01,
+        "fields": ["Cv"],
+        "threads": 1,
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert cli.main(["scan", write_config(tmp_path, cfg)]) == 3
+    assert "budget" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["cell_failures"] == 2
+
+
+def test_scan_without_an_lmg_eigensolver_exit_3(tmp_path, monkeypatch, capsys):
+    # neither numpy's LAPACK nor scipy: the model cannot be built
+    monkeypatch.setattr(lmg, "_solver", lmg._load_scipy)
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    cfg = dict(minimal_config(tmp_path), model={"name": "lmg", "n_spins": 4})
+    assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 3
+    assert "pip install thermofid[scipy]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_scan_classifier_failure_leaves_no_file(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""What a cold start imports: scipy only for the models that call it, and nothing mid-scan.
+"""What a cold start imports: scipy only for LMG's fallback, and nothing mid-scan.
 
 Each import test runs in a fresh interpreter, because the test process itself
 has long since imported scipy through other tests. The source checks read
@@ -44,22 +44,30 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert fresh(tmp_path, f"import json, sys, thermofid.cli\nprint({SCIPY_MODULES})") == []
 
 
-@pytest.mark.parametrize("name", sorted(MODEL_CONFIGS))
-def test_resolving_a_config_loads_scipy_only_for_lmg(tmp_path, name):
+def resolve_imports(tmp_path, name, prelude=""):
+    """scipy modules loaded once MODEL_CONFIGS[name] is resolved, after prelude ran."""
     config = dict(MODEL_CONFIGS[name], delta_t=0.01, fields=["Cv"])
-    loaded = fresh(tmp_path, (
-        "import json, sys\n"
-        "from thermofid import cli, scan\n"
+    return fresh(tmp_path, (
+        "import json, pathlib, sys\n"
+        "from thermofid import cli, lmg, scan\n"
+        f"{prelude}"
         "def no_sweep(*args, **kwargs): raise AssertionError('resolving must not sweep')\n"
         "scan.sweep = no_sweep\n"
         f"cli.resolve_scan_config(json.loads({json.dumps(json.dumps(config))}))\n"
         f"print({SCIPY_MODULES})"))
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CONFIGS))
+def test_resolving_a_config_loads_scipy_only_for_lmg(tmp_path, name):
+    # numpy's wheel brings the LAPACK the LMG levels need, so no model loads
+    # scipy; only LMG, on a numpy without it, falls back to scipy
+    assert resolve_imports(tmp_path, name) == []
     if name == "lmg":
-        # the level build's eigensolver, and no other part of scipy
+        # the positive control: with the fallback forced, the level build's
+        # eigensolver is loaded, and no other part of scipy
+        loaded = resolve_imports(tmp_path, name, "lmg._NUMPY_LIBS = pathlib.Path('absent')\n")
         assert "scipy.linalg" in loaded
         assert "scipy.special" not in loaded and "scipy.optimize" not in loaded
-    else:
-        assert loaded == []
 
 
 def test_dicke_evaluation_loads_no_scipy(tmp_path):

@@ -3,6 +3,7 @@ full-trace thermodynamics, and the finite-temperature mean field."""
 
 import math
 import sys
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -10,14 +11,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import logsumexp
 
 from thermofid import core, lmg
 from thermofid.core import LOG_DROP
-from thermofid.errors import DomainError
+from thermofid.errors import DomainError, EigensolverError, EvaluationError
 from thermofid.exact import kubo_mori_metric
 from thermofid.lmg import (
     Lmg,
+    _band_eigenvalues,
     _full_levels,
     _sector_bands,
     lmg_meanfield_critical_temperature,
@@ -124,6 +127,92 @@ def test_sector_spectrum_matches_dense_eigh():
     diag, off = _sector_bands(15.0, 30, 0.4, 0.6)
     dense = np.sort(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 2) + np.diag(off, -2)))
     assert np.allclose(sector_energies(30, 0.4, 0.6), dense, atol=1e-10)
+
+
+def parity_blocks(diag, off):
+    """(d, e) of each non-empty parity block of one spin sector's bands."""
+    for start in (0, 1):
+        d = diag[start::2]
+        if d.size:
+            yield d, off[start::2][: d.size - 1]
+
+
+@pytest.mark.parametrize("n,gamma,lams", [
+    (800, 0.2, [0.2]),
+    (101, 0.5, [0.0, 0.3, 1.7, 1e250]),  # 1e250: dstevd scales the norm before dsterf
+    (8, 0.2, [0.0, 0.7]),
+])
+def test_numpy_lapack_levels_are_scipys_bit_for_bit(n, gamma, lams):
+    levels = lmg._numpy_lapack()
+    if levels is None:
+        pytest.skip("this numpy ships no scipy-openblas LAPACK to reach")
+    for lam in lams:
+        for k in range(n // 2 + 1):
+            for d, e in parity_blocks(*_sector_bands(0.5 * n - k, n, gamma, lam)):
+                assert np.array_equal(levels(d, e), eigh_tridiagonal(d, e, eigvals_only=True))
+
+
+@pytest.fixture
+def solver_choice():
+    """Chooses the solver afresh for the test, and again after it."""
+    lmg._solver.cache_clear()
+    yield
+    lmg._solver.cache_clear()
+
+
+@pytest.mark.usefixtures("solver_choice")
+@pytest.mark.parametrize("missing", ["config", "64-bit integers", "library", "symbol"])
+def test_solver_falls_back_to_scipy_without_numpys_lapack(monkeypatch, missing):
+    config = np.show_config(mode="dicts")
+    lapack = config["Build Dependencies"]["lapack"]
+    if missing == "config":
+        lapack = dict(lapack, name="openblas")
+    elif missing == "64-bit integers":
+        lapack = dict(lapack, **{"openblas configuration": "OpenBLAS 0.3.31 DYNAMIC_ARCH"})
+    elif missing == "library":
+        monkeypatch.setattr(lmg, "_NUMPY_LIBS", lmg._NUMPY_LIBS / "absent")
+    else:
+        monkeypatch.setattr(lmg, "_STEVD", "no_such_symbol")
+    shown = {**config, "Build Dependencies": {**config["Build Dependencies"], "lapack": lapack}}
+    monkeypatch.setattr(np, "show_config", lambda mode: shown)
+    assert lmg._numpy_lapack() is None
+    assert lmg._solver().func is eigh_tridiagonal
+    diag, off = _sector_bands(4.0, 8, 0.2, 0.7)
+    assert np.array_equal(_band_eigenvalues(diag, off), np.concatenate(
+        [eigh_tridiagonal(d, e, eigvals_only=True) for d, e in parity_blocks(diag, off)]))
+
+
+@pytest.mark.usefixtures("solver_choice")
+def test_no_solver_at_all_is_an_eigensolver_error(monkeypatch):
+    monkeypatch.setattr(lmg, "_NUMPY_LIBS", lmg._NUMPY_LIBS / "absent")
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # import fails, as without scipy
+    with pytest.raises(EigensolverError, match="scipy-openblas LAPACK or, without it, scipy"):
+        Lmg(8, 0.2)
+
+
+def test_lapack_levels_check_the_band_lengths():
+    def never(*args):
+        raise AssertionError("LAPACK called on a bad band")
+
+    for d, e in [(np.ones(3), np.ones(3)), (np.ones((2, 2)), np.ones(1)), (np.ones(0), np.ones(0))]:
+        with pytest.raises(ValueError, match="off-diagonal"):
+            lmg._lapack_levels(never, d, e)
+
+
+def test_lapack_info_is_an_eigensolver_error(monkeypatch):
+    monkeypatch.setattr(lmg, "_solver", lambda: partial(lmg._lapack_levels, lambda *args: 1))
+    diag, off = _sector_bands(4.0, 8, 0.2, 0.7)
+    with pytest.raises(EigensolverError, match="info = 1"):
+        _band_eigenvalues(diag, off)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("n,lam", [(3, 1e308), (800, 1e306)])
+def test_overflowing_hamiltonian_is_an_evaluation_error(n, lam):
+    # 2 lam m overflows: an inf level would make lnZ meaningless, and no
+    # solver raises a typed error for it
+    with pytest.raises(EvaluationError, match="not finite"):
+        Lmg(n, 0.2).log_z(1.0, lam)
 
 
 def test_sector_log_z_ground_state_dominance():
