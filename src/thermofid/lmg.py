@@ -114,7 +114,9 @@ def _sector_bands(sector_spin, n_spins, gamma, lam):
     c = s * (s + 1.0)
     dim = int(round(2 * s)) + 1
     m = -s + np.arange(dim, dtype=float)
-    diag = -(1.0 + gamma) / n_spins * (c - m * m - 0.5 * n_spins) - 2.0 * lam * m
+    # 2 lam m overflows for a lam near the float range; _band_eigenvalues types that failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = -(1.0 + gamma) / n_spins * (c - m * m - 0.5 * n_spins) - 2.0 * lam * m
     mm = m[:-2]
     off = -(1.0 - gamma) / (2.0 * n_spins) * np.sqrt(
         (c - mm * (mm + 1.0)) * (c - (mm + 1.0) * (mm + 2.0))
@@ -124,7 +126,7 @@ def _sector_bands(sector_spin, n_spins, gamma, lam):
 
 def _band_eigenvalues(diag, off):
     """All eigenvalues of a step-2-banded symmetric matrix via its parity blocks."""
-    # 2 lam m overflows for a lam near the float range; neither solver types that failure
+    # neither solver types a band that is not finite
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise EigensolverError("tridiagonal eigensolve: the Hamiltonian's bands are not finite")
     blocks = []
@@ -132,9 +134,8 @@ def _band_eigenvalues(diag, off):
         d = diag[start::2]
         if d.size == 0:  # the S = 0 sector's odd block; the scipy fallback rejects it
             continue
-        e = off[start::2][: d.size - 1]
         try:
-            blocks.append(eigh_tridiagonal(d, e))
+            blocks.append(eigh_tridiagonal(d, off[start::2]))
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"tridiagonal eigensolve failed: {exc}") from exc
     return np.concatenate(blocks)
@@ -162,24 +163,6 @@ def _full_levels(n_spins, gamma, lam):
         energies.append(e)
         weights.append(np.full(e.size, math.log(sector_degeneracy(n_spins, s))))
     return np.concatenate(energies), np.concatenate(weights)
-
-
-def _levels_in_reach(energies, weights, beta):
-    """The levels, in order, whose term w - b E comes within LOG_DROP of the largest at some b.
-
-    b ranges over [min(beta), max(beta)]. A term is linear in b, so at every
-    such b the largest term is at least R, the largest over levels of the
-    smaller of its two end values; a level whose larger end value is below
-    R - LOG_DROP - 1 (1 for rounding) is never summed. Each b then sums the
-    same terms in the same order as it would over all levels.
-    """
-    b_lo = np.min(beta)
-    lo, hi = (energies * -b + weights for b in (b_lo, np.max(beta)))
-    # the minimum overwrites lo, formed again after it: two level-length arrays, not three
-    floor = np.minimum(lo, hi, out=lo).max() - LOG_DROP - 1.0
-    lo = np.add(np.multiply(energies, -b_lo, out=lo), weights, out=lo)
-    keep = np.maximum(lo, hi, out=lo) >= floor
-    return energies[keep], weights[keep]
 
 
 @dataclass(frozen=True)
@@ -212,13 +195,11 @@ class Lmg(ThermoModel):
         matrix would hold 160,801 levels per beta at N = 800. Each logsumexp
         sums only the terms x = w - beta E within LOG_DROP of their largest:
         the n dropped terms move lnZ by at most n e^-45, 4.7e-15 at N = 800,
-        under 1/20 ulp of lnZ >= N ln 2 = 554 (Tr H = 0). The levels that can
-        give such a term at some beta of the call are picked once per call.
+        under 1/20 ulp of lnZ >= N ln 2 = 554 (Tr H = 0).
         """
         # even in the field (a pi rotation about x flips its sign), so the
         # central susceptibility stencil works at lam = 0
         energies, weights = _full_levels(self.n_spins, self.gamma, abs(lam))
-        energies, weights = _levels_in_reach(energies, weights, beta)
 
         def at(b):
             x = energies * -b  # then x += w: bitwise w - b E, with one n-level temporary

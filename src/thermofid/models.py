@@ -190,8 +190,7 @@ class Dicke(ThermoModel):
         return per_beta(lambda b: self._log_z_at(b, lam), beta)
 
     def _log_z_at(self, beta, lam):
-        h, u_lo, u_peak, u_hi = self._log_integrand_range(beta, lam)
-        h_peak = float(h(u_peak))
+        h, h_peak, u_lo, u_peak, u_hi = self._log_integrand_range(beta, lam)
 
         def f(u):
             return np.exp(h(u) - h_peak)
@@ -208,7 +207,7 @@ class Dicke(ThermoModel):
         return h_peak + math.log(integral)
 
     def _log_integrand_range(self, beta, lam):
-        """h, its peak u_peak and a range [u_lo, u_hi] outside which h <= h(u_peak) - LOG_DROP.
+        """h, its peak h_peak = h(u_peak), and [u_lo, u_hi], outside which h <= h_peak - LOG_DROP.
 
         h'(u) = -b + (b lam)^2 tanh(z) / 2z falls with u, so h is concave.
         The peak sits at u = 0 unless h'(0) > 0, and otherwise at the root of
@@ -217,25 +216,26 @@ class Dicke(ThermoModel):
         """
         n = self.n_atoms
         a = beta * self.omega0 / (2.0 * self.omega)
-        s = 4.0 * lam * lam * self.omega**2 / (n * self.omega0**2)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check at its end types these
+            s = 4.0 * lam * lam * self.omega**2 / (n * self.omega0**2)
 
-        def h(u):
-            return -beta * u + n * log_2cosh(a * np.sqrt(1.0 + s * u))
+            def h(u):
+                return -beta * u + n * log_2cosh(a * np.sqrt(1.0 + s * u))
 
-        bl2 = beta * lam * lam
-        # h' lies in [-b, 0] right of the peak and in [0, h'(0)] left of it, so
-        # no step shorter than start takes h 1 below its peak
-        u_peak, start = 0.0, 1.0 / beta
-        if bl2 * math.tanh(a) > 2.0 * a:
-            lo, hi = a, 0.5 * bl2
-            while lo < (mid := 0.5 * (lo + hi)) < hi:
-                lo, hi = (mid, hi) if bl2 * math.tanh(mid) > 2.0 * mid else (lo, mid)
-            u_peak = n * (lo - a) * (lo + a) / ((beta * lam) * (beta * lam))
-            start = min(start, 2.0 * a / (beta * (bl2 * math.tanh(a) - 2.0 * a)))
-        # b lam^2 or u_peak overflows at a large enough coupling
-        if not (math.isfinite(u_peak) and math.isfinite(h_peak := float(h(u_peak)))):
-            raise QuadratureError(f"{self.name}: the integrand's peak overflows at "
-                                  f"beta={beta}, lam={lam}")
+            bl2 = beta * lam * lam
+            # h' lies in [-b, 0] right of the peak and in [0, h'(0)] left of it, so
+            # no step shorter than start takes h 1 below its peak
+            u_peak, start = 0.0, 1.0 / beta
+            if bl2 * math.tanh(a) > 2.0 * a:
+                lo, hi = a, 0.5 * bl2
+                while lo < (mid := 0.5 * (lo + hi)) < hi:
+                    lo, hi = (mid, hi) if bl2 * math.tanh(mid) > 2.0 * mid else (lo, mid)
+                u_peak = n * (lo - a) * (lo + a) / ((beta * lam) * (beta * lam))
+                start = min(start, 2.0 * a / (beta * (bl2 * math.tanh(a) - 2.0 * a)))
+            # b lam^2 or u_peak overflows at a large enough coupling
+            if not (math.isfinite(u_peak) and math.isfinite(h_peak := float(h(u_peak)))):
+                raise QuadratureError(f"{self.name}: the integrand's peak overflows at "
+                                      f"beta={beta}, lam={lam}")
 
         def fall_step(sign):
             # the first doubling of start over which h falls by 1 from the
@@ -247,7 +247,7 @@ class Dicke(ThermoModel):
 
         u_lo = max(0.0, u_peak - LOG_DROP * fall_step(-1.0))
         u_hi = u_peak + LOG_DROP * fall_step(1.0)
-        return h, u_lo, u_peak, u_hi
+        return h, h_peak, u_lo, u_peak, u_hi
 
 
 def dicke_critical_temperature(lam, omega=1.0, omega0=1.0):

@@ -122,7 +122,6 @@ def test_scan_failure_budget_exit_3(tmp_path, capsys):
     assert (tmp_path / "out" / "Cv.csv").exists() and (tmp_path / "out" / "report.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_scan_overflowing_lmg_hamiltonian_exit_3(tmp_path, capsys):
     # 2 lam m overflows at lam = 1e308: that column's cells fail as evaluations
     cfg = {

@@ -372,7 +372,7 @@ DICKE_POINTS = [(100, 1.5, 1.0), (200, 1.5, 1.05), (50, 0.5, 0.3), (200, 0.0, 2.
 def test_dicke_log_integrand_concave_beyond_peak():
     for n, lam, t in DICKE_POINTS:
         model, beta = Dicke(n_atoms=n), 1.0 / t
-        h, u_lo, u_peak, u_hi = model._log_integrand_range(beta, lam)
+        h, h_peak, u_lo, u_peak, u_hi = model._log_integrand_range(beta, lam)
         z = lambda u: beta / 2.0 * np.sqrt(1.0 + 4.0 * lam * lam * u / n)
         slope = lambda u: -beta + (beta * lam) ** 2 * np.tanh(z(u)) / (2.0 * z(u))
         if u_peak > 0.0:
@@ -382,7 +382,7 @@ def test_dicke_log_integrand_concave_beyond_peak():
         vals = h(np.linspace(u_lo, u_hi, 400))
         second = vals[2:] + vals[:-2] - 2.0 * vals[1:-1]
         assert second.max() <= 1e-13 * np.abs(vals).max()
-        h_peak = h(u_peak)
+        assert h_peak == h(u_peak)
         assert h(u_hi) <= h_peak - core.LOG_DROP
         if u_lo > 0.0:
             assert h(u_lo) <= h_peak - core.LOG_DROP
@@ -399,7 +399,7 @@ def test_dicke_peak_leaves_zero_exactly_below_critical_temperature(omega, omega0
     assume(omega * lam * lam > omega0 * (1.0 + 1e-6))
     t = dicke_critical_temperature(lam, omega, omega0) * math.exp(
         (-1.0 if below else 1.0) * 10.0**distance)
-    _, _, u_peak, _ = Dicke(omega=omega, omega0=omega0)._log_integrand_range(1.0 / t, lam)
+    _, _, _, u_peak, _ = Dicke(omega=omega, omega0=omega0)._log_integrand_range(1.0 / t, lam)
     assert (u_peak > 0.0) == below
 
 
