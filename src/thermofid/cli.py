@@ -13,6 +13,7 @@ THERMOFID_OUTPUT_DIR overrides any configured output directory.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -289,6 +290,15 @@ def read_field_csv(path):
     return scan.ScanField("loaded", grid, values)
 
 
+@contextlib.contextmanager
+def _output_key(key):
+    """An OSError raised on an output path inside the block, as a ConfigError keyed key."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(key, f"cannot write output: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # scan subcommand
 # ---------------------------------------------------------------------------
@@ -311,8 +321,10 @@ def cmd_scan(config_path, threads=None):
     core.warn_if_large_steps(float(grid.t_axis[0]), float(np.abs(grid.lambda_axis).min()),
                              grid.delta_t, grid.delta_lambda)
 
-    out_dir = os.environ.get(OUTPUT_DIR_ENV) or resolved["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    env_dir = os.environ.get(OUTPUT_DIR_ENV)
+    out_dir = env_dir or resolved["output_dir"]
+    with _output_key(OUTPUT_DIR_ENV if env_dir else "output_dir"):
+        os.makedirs(out_dir, exist_ok=True)
 
     started = time.perf_counter()
     fields = scan.sweep(model, grid, resolved["fields"], threads=threads)
@@ -430,10 +442,11 @@ def cmd_boundary(config_path):
     line = _locate(mode, read_field_csv(field_file), threshold)
 
     out_dir = os.environ.get(OUTPUT_DIR_ENV)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        output = os.path.join(out_dir, os.path.basename(output))
-    write_line_csv(output, line)
+    with _output_key(OUTPUT_DIR_ENV if out_dir else "output"):
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+            output = os.path.join(out_dir, os.path.basename(output))
+        write_line_csv(output, line)
     return {"mode": mode, "points": len(line.points), "output": output}
 
 
@@ -494,7 +507,7 @@ def main(argv=None):
                 raise ConfigError("--t-points", "must be >= 2")
             rows = cmd_meanfield(lambdas, t_points=args.t_points)
             if args.output:
-                with open(args.output, "w") as fh:
+                with _output_key("--output"), open(args.output, "w") as fh:
                     _write_meanfield(rows, fh)
             else:
                 _write_meanfield(rows, sys.stdout)

@@ -169,8 +169,9 @@ def _full_levels(n_spins, gamma, lam):
 class Lmg(ThermoModel):
     """Catalog entry: the collective-spin model as a ThermoModel over lam.
 
-    n_spins >= 2 and 0 <= gamma <= 1. log_z is the full degeneracy-weighted
-    trace, so sweeps see extensive thermal response functions.
+    n_spins is an integer >= 2 and 0 <= gamma <= 1. log_z is the full
+    degeneracy-weighted trace, so sweeps see extensive thermal response
+    functions.
     """
 
     n_spins: int = 100
@@ -181,8 +182,9 @@ class Lmg(ThermoModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.n_spins >= 2:
-            raise DomainError(f"n_spins must be >= 2, got {self.n_spins}", key="n_spins")
+        if not (isinstance(self.n_spins, (int, np.integer)) and self.n_spins >= 2):
+            raise DomainError(f"n_spins must be an integer >= 2, got {self.n_spins!r}",
+                              key="n_spins")
         if not 0.0 <= self.gamma <= 1.0:
             raise DomainError(f"gamma must be in [0, 1], got {self.gamma}", key="gamma")
         _solver()  # here, so a scan loads it while configured, before its helpers fork

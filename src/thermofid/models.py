@@ -5,9 +5,10 @@ beta a float or a 1-D array, plus name / size_field / lambda_domain metadata;
 the inherited log_z checks and types every call, so the kernel, the scanner,
 and the CLI treat them interchangeably. Integral forms
 use one rule each: fixed tanh-sinh (Ising), a trapezoid rule whose panels
-grow with beta (chain), and, beta by beta, adaptive Simpson to 1e-10 of a
-coarse estimate on each side of the integrand's peak (Dicke, whose
-log-integrand is concave, so its peak and range need no search that can fail).
+grow with beta (chain), and, beta by beta, Simpson with doubling panels to
+1e-10 of a coarse estimate on each side of the integrand's peak (Dicke, whose
+log-integrand is concave, so its peak and range need no search that can fail,
+and analytic, so neither side needs local refinement).
 """
 
 import math

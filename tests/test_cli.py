@@ -208,6 +208,22 @@ def test_scan_output_dir_env_override(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("from_env", [False, True])
+def test_scan_output_dir_that_is_a_file_exit_2_before_sweep(tmp_path, monkeypatch, capsys,
+                                                            from_env):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = minimal_config(tmp_path)
+    if from_env:
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(taken))
+    else:
+        cfg["output_dir"] = str(taken)
+    monkeypatch.setattr(scan, "sweep", lambda *args, **kwargs: pytest.fail("swept"))
+    assert cli.main(["scan", write_config(tmp_path, cfg), "--threads", "1"]) == 2
+    key = cli.OUTPUT_DIR_ENV if from_env else "output_dir"
+    assert f"config error - {key}: " in capsys.readouterr().err
+
+
 def test_scan_outputs_byte_identical_across_runs_and_threads(tmp_path, capsys):
     cfg = minimal_config(tmp_path, "out_a")
     cfg["grid"]["lambda"] = {"start": 0.0, "stop": 0.4, "num": 3}
@@ -369,6 +385,12 @@ def test_meanfield_output_file(tmp_path, capsys):
     assert out.read_text().startswith("lambda,T_c,T,m_x\n")
 
 
+def test_meanfield_output_in_missing_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "mf.csv"
+    assert cli.main(["meanfield", "--lambda", "0.5", "--output", str(out)]) == 2
+    assert "config error - --output: " in capsys.readouterr().err
+
+
 def test_boundary_round_trip(tmp_path, capsys):
     # scan writes a field; boundary re-reads it and extracts the same minima
     cfg = {
@@ -429,6 +451,17 @@ def test_boundary_output_dir_env_override(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["output"] == str(override / "line.csv")
     assert (override / "line.csv").read_text().startswith("lambda,T_c,detection,")
     assert not (tmp_path / "sub").exists()
+
+
+def test_boundary_output_in_missing_directory_exit_2(tmp_path, capsys):
+    t_axis = np.linspace(1.0, 2.0, 11)
+    grid = scan.ScanGrid(np.array([0.0]), t_axis, delta_t=0.01)
+    cli.write_field_csv(str(tmp_path / "field.csv"),
+                        scan.ScanField("x", grid, t_axis[np.newaxis, :] ** 2))
+    boundary_cfg = {"field_file": str(tmp_path / "field.csv"), "mode": "minima",
+                    "output": str(tmp_path / "missing" / "line.csv")}
+    assert cli.main(["boundary", write_config(tmp_path, boundary_cfg, "b.json")]) == 2
+    assert "config error - output: " in capsys.readouterr().err
 
 
 def test_boundary_rejects_malformed_field(tmp_path, capsys):

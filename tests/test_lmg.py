@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import logsumexp
 
-from thermofid import core, lmg
+from thermofid import core, lmg, scan
 from thermofid.core import LOG_DROP
 from thermofid.errors import DomainError, EigensolverError, EvaluationError
 from thermofid.exact import kubo_mori_metric
@@ -71,6 +71,18 @@ def test_params_validation():
         with pytest.raises(DomainError, match="lam must be finite") as info:
             Lmg(24, 0.2).log_z(1.0, lam)
         assert info.value.key == "lam"
+
+
+def test_non_integral_size_rejected_when_built():
+    # a float size is a DomainError at construction, not a TypeError in the level build
+    for n in (10.0, 10.5):
+        with pytest.raises(DomainError) as info:
+            Lmg(n_spins=n)
+        assert info.value.key == "n_spins"
+    assert Lmg(n_spins=np.int64(4)).log_z(1.0, 0.5) == Lmg(n_spins=4).log_z(1.0, 0.5)
+    with pytest.raises(DomainError) as info:
+        scan.classify_transition(Lmg(8), 0.3, [8.0, 10.0, 12.0], np.linspace(0.5, 1.5, 11), 0.01)
+    assert info.value.key == "sizes"
 
 
 def test_matrix_is_banded_and_symmetric():

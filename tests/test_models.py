@@ -430,7 +430,7 @@ def _mp_dicke_log_z(n, beta, lam):
 @pytest.mark.parametrize("n, lam, t", DICKE_POINTS)
 def test_dicke_matches_mpmath(n, lam, t):
     value = Dicke(n_atoms=n).log_z(1.0 / t, lam)
-    assert abs(float(value - _mp_dicke_log_z(n, 1.0 / t, lam))) <= 1e-11 * abs(value)
+    assert abs(float(value - _mp_dicke_log_z(n, 1.0 / t, lam))) <= 1e-14 * abs(value)
 
 
 def _mp_dicke_cv(n, beta, lam):
